@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.LiveSet
 import repro.core._
 import repro.core.topk.KCellCspot
 import repro.data.SpatialStreams
@@ -60,7 +61,7 @@ class TopKBench extends AnyFunSuite {
     val k    = 3
     val kccs = new KCellCspot(cfg, k)
     val (_, nsK) = Tables.timePerMessage(objs, cfg.windowMillis)(e => { kccs.onEvent(e); () })
-    val live = new Tables.LiveSet(cfg.windowMillis)
+    val live = new LiveSet(cfg.windowMillis)
     val (_, nsN) = Tables.timePerMessage(objs, cfg.windowMillis) { e =>
       live(e)
       BruteForce.topK(live.objectsAt(e.at), e.at, cfg, k)

@@ -2,7 +2,6 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Tables
-import repro.exp.Tables._
 
 /** Benchmark suites, one per evaluation table. Each prints the measured
   * table next to the paper's numbers (also recorded in EXPERIMENTS.md) and
@@ -13,16 +12,7 @@ class TableIBench extends AnyFunSuite {
   test("Table I — dataset statistics") {
     val n    = Tables.envN(100000)
     val rows = Tables.tableI(n)
-    println(s"\n=== Table I (datasets, n=$n; paper: 1M objects) ===")
-    println(Tables.fmtTable(
-      Seq("Dataset", "#Objects", "Rate(/h)", "paper Rate(/h)", "Lat range", "Lon range"),
-      rows.map { r =>
-        val spec = repro.data.SpatialStreams.all.find(_.name == r.name).get
-        Seq(r.name, r.n.toString,
-            f"${r.ratePerHour}%.0f", f"${spec.paperRatePerHour * n / 1e6}%.0f (scaled) / ${spec.paperRatePerHour}%.0f",
-            f"${r.latLo}%.1f..${r.latHi}%.1f", f"${r.lonLo}%.1f..${r.lonHi}%.1f")
-      },
-    ))
+    println("\n" + Tables.showTableI(n, rows))
     assert(rows.length == 3)
     rows.foreach(r => assert(r.n == n))
   }
@@ -32,12 +22,7 @@ class TableIIBench extends AnyFunSuite {
   test("Table II — search-trigger ratio vs window size (CCS vs B-CCS)") {
     val n    = Tables.envN(20000)
     val rows = Tables.tableII(n)
-    println(s"\n=== Table II (ratio of rectangle messages triggering a search, n=$n) ===")
-    println(Tables.fmtTable(
-      Seq("Dataset", "Window", "CCS", "B-CCS", "paper CCS", "paper B-CCS"),
-      rows.map(r => Seq(r.dataset, r.window, pct(r.ccs), pct(r.bccs),
-                        pct(r.paperCcs), pct(r.paperBccs))),
-    ))
+    println("\n" + Tables.showTableII(n, rows))
     assert(rows.length == 15)
     // Shape: CCS triggers far fewer searches than B-CCS on every dataset.
     val byDs = rows.groupBy(_.dataset)
@@ -54,12 +39,7 @@ class TableIIIBench extends AnyFunSuite {
     val n    = Tables.envN(20000)
     val s    = Tables.envSample(200)
     val rows = Tables.tableIII(n, s)
-    println(s"\n=== Table III (approx ratio vs alpha, US, |W|=1h, n=$n, sample=$s) ===")
-    println(Tables.fmtTable(
-      Seq("alpha", "GAPS", "MGAPS", "paper GAPS", "paper MGAPS"),
-      rows.map(r => Seq(r.alpha.toString, pct(r.gaps), pct(r.mgaps),
-                        pct(r.paperGaps), pct(r.paperMgaps))),
-    ))
+    println("\n" + Tables.showTableIII(n, s, rows))
     rows.foreach { r =>
       // ratios healthy and far above the theoretical (1-alpha)/4 floor
       assert(r.gaps > 40 && r.gaps <= 100 + 1e-9, s"alpha=${r.alpha}: GAPS ${r.gaps}")
@@ -74,12 +54,7 @@ class TableIVBench extends AnyFunSuite {
     val n    = Tables.envN(20000)
     val s    = Tables.envSample(200)
     val rows = Tables.tableIV(n, s)
-    println(s"\n=== Table IV (approx ratio vs window, alpha=0.5, n=$n, sample=$s) ===")
-    println(Tables.fmtTable(
-      Seq("Dataset", "Window", "GAPS", "MGAPS", "paper GAPS", "paper MGAPS"),
-      rows.map(r => Seq(r.dataset, r.window, pct(r.gaps), pct(r.mgaps),
-                        pct(r.paperGaps), pct(r.paperMgaps))),
-    ))
+    println("\n" + Tables.showTableIV(n, s, rows))
     assert(rows.length == 15)
     rows.foreach { r =>
       assert(r.gaps > 40 && r.gaps <= 100 + 1e-9, s"${r.dataset}/${r.window}: GAPS ${r.gaps}")

@@ -49,8 +49,6 @@ final class CspotStats {
   */
 final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full,
                       externalPast: Option[Long => Boolean] = None) {
-  import EventKind._
-
   private val grid  = new Grid(cfg.rectW, cfg.rectH)
   private val cells = mutable.HashMap.empty[(Long, Long), Cell]
   private val heap  = new LazyMaxHeap[(Long, Long)]
@@ -117,92 +115,58 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     */
   def process(e: Event): Unit = {
     now = e.at
-    val o    = e.obj
-    val obox = cfg.rectBox(o)
-    val d    = cfg.delta(o.w)
-    if (externalPast.isEmpty) e.kind match {
-      case Grown   => pastIds += o.id
-      case Expired => pastIds -= o.id
-      case New     => ()
+    val o = e.obj
+    if (externalPast.isEmpty) {
+      if (e.kind.dPast > 0) pastIds += o.id
+      else if (e.kind.dPast < 0) pastIds -= o.id
     }
-    grid.cellsOverlapping(obox).foreach { key =>
-      val c = e.kind match {
-        case New => cells.getOrElseUpdate(key, new Cell(key))
-        case _   => cells.getOrElse(key, null)
-      }
-      if (c != null) {
-        e.kind match {
-          case New     => c.rects.update(o.id, o); c.us += d; c.ud += d
-          case Grown   => c.us -= d // Eqn 3: dynamic bound unchanged
-          case Expired => c.rects.remove(o.id); c.ud += cfg.alpha * d
-        }
-        if (c.cand != null) {
-          val covered = obox.contains(c.cand.x, c.cand.y)
-          val pre     = c.cand.fc - c.cand.fp
-          if (covered) {
-            val (nfc, nfp) = e.kind match {
-              case New     => (c.cand.fc + d, c.cand.fp)
-              case Grown   => (c.cand.fc - d, c.cand.fp + d)
-              case Expired => (c.cand.fc, c.cand.fp - d)
-            }
-            c.cand = BurstyPoint(c.cand.x, c.cand.y, nfc, nfp, cfg.burst(nfc, nfp))
-          }
-          if (c.candValid) {
-            // Lemma 4 (conservative form, evaluated on pre-event scores).
-            c.candValid = e.kind match {
-              case New | Expired => covered && pre >= -1e-9
-              case Grown         => !covered
-            }
-          }
-        }
-        finishCellUpdate(key, c)
-      }
-    }
+    val d = cfg.delta(o.w)
+    update(o, e.kind.dCur * d, e.kind.dPast * d)
   }
 
   /** Synthetic insert/remove used by the top-k extension (Section VI-B):
     * rectangle `o` becomes (in)visible to this instance while the clock
-    * stands still. Bound and validity maintenance mirror the Lemma 3/4 case
-    * analysis: inserting a current-window rect behaves like `New`, removing
-    * a past-window rect behaves like `Expired`, and the two score-decreasing
-    * cases leave the dynamic bound untouched.
+    * stands still, adding or removing its weight in the window it is in.
     */
   def synthetic(o: SpatialObj, insert: Boolean): Unit = {
-    val isCur = !isPast(o.id)
+    val d = if (insert) cfg.delta(o.w) else -cfg.delta(o.w)
+    if (isPast(o.id)) update(o, 0.0, d) else update(o, d, 0.0)
+  }
+
+  /** The Lemma 3/4 case analysis, once: every cell `o` touches sees the
+    * points `o` covers change by `dc` in `f_c` and `dp` in `f_p`.
+    *  - `o` joins the cells when `dc + dp > 0` and leaves when `< 0`;
+    *  - `U_s` (Eqn 2) moves by `dc`;
+    *  - `U_d` (Eqn 3) grows by the largest rise of `S = max(f_c − α·f_p,
+    *    (1−α)·f_c)` any covered point can see, and never shrinks;
+    *  - the candidate's tracked scores move by `(dc, dp)` if `o` covers it;
+    *  - Lemma 4 (conservative form, on pre-update scores): after a rise
+    *    (`dc > 0` or `dp < 0`) the candidate stays the cell's best iff `o`
+    *    covers it and `f_c ≥ f_p` there; after a fall iff `o` misses it.
+    */
+  private def update(o: SpatialObj, dc: Double, dp: Double): Unit = {
     val obox  = cfg.rectBox(o)
-    val d     = cfg.delta(o.w)
+    val size  = dc + dp
+    val dUd   = math.max(0.0, math.max(dc - cfg.alpha * dp, (1 - cfg.alpha) * dc))
+    val rises = dc > 0 || dp < 0
     grid.cellsOverlapping(obox).foreach { key =>
       val c =
-        if (insert) cells.getOrElseUpdate(key, new Cell(key))
+        if (size > 0) cells.getOrElseUpdate(key, new Cell(key))
         else cells.getOrElse(key, null)
       if (c != null) {
-        if (insert) {
-          c.rects.update(o.id, o)
-          if (isCur) { c.us += d; c.ud += d }
-        } else {
-          c.rects.remove(o.id)
-          if (isCur) c.us -= d
-          else c.ud += cfg.alpha * d
-        }
+        if (size > 0) c.rects.update(o.id, o)
+        else if (size < 0) c.rects.remove(o.id)
+        c.us += dc
+        c.ud += dUd
         if (c.cand != null) {
           val covered = obox.contains(c.cand.x, c.cand.y)
           val pre     = c.cand.fc - c.cand.fp
           if (covered) {
-            val (nfc, nfp) = (insert, isCur) match {
-              case (true, true)   => (c.cand.fc + d, c.cand.fp)
-              case (true, false)  => (c.cand.fc, c.cand.fp + d)
-              case (false, true)  => (c.cand.fc - d, c.cand.fp)
-              case (false, false) => (c.cand.fc, c.cand.fp - d)
-            }
-            c.cand = BurstyPoint(c.cand.x, c.cand.y, nfc, nfp, cfg.burst(nfc, nfp))
+            val fc = c.cand.fc + dc
+            val fp = c.cand.fp + dp
+            c.cand = BurstyPoint(c.cand.x, c.cand.y, fc, fp, cfg.burst(fc, fp))
           }
-          if (c.candValid) {
-            c.candValid = (insert, isCur) match {
-              case (true, true)   => covered && pre >= -1e-9 // like New
-              case (false, false) => covered && pre >= -1e-9 // like Expired
-              case _              => !covered                // score-decreasing cases
-            }
-          }
+          if (c.candValid) c.candValid = if (rises) covered && pre >= -1e-9 else !covered
         }
         finishCellUpdate(key, c)
       }

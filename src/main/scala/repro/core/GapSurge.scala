@@ -19,8 +19,6 @@ final case class CellResult(key: (Long, Long), box: Box, fc: Double, fp: Double,
   * [[SurgeConfig.burst]].
   */
 final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Double = 0.0) {
-  import EventKind._
-
   private val grid  = new Grid(cfg.rectW, cfg.rectH, offX, offY)
   private val cells = mutable.HashMap.empty[(Long, Long), CState]
   private val heap  = new LazyMaxHeap[(Long, Long)]
@@ -39,11 +37,9 @@ final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Dou
     val d   = cfg.delta(o.w)
     val key = grid.cellOf(o.x, o.y)
     val c   = cells.getOrElseUpdate(key, new CState)
-    e.kind match {
-      case New     => c.fc += d; c.live += 1
-      case Grown   => c.fc -= d; c.fp += d
-      case Expired => c.fp -= d; c.live -= 1
-    }
+    c.fc += e.kind.dCur * d
+    c.fp += e.kind.dPast * d
+    c.live += e.kind.dCur + e.kind.dPast
     if (c.live == 0) { cells.remove(key); heap.remove(key) }
     else heap.update(key, cfg.burst(c.fc, c.fp))
   }

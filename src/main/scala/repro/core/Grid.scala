@@ -29,12 +29,14 @@ final class Grid(val cellW: Double, val cellH: Double,
     * For a box of exactly one cell size this is at most 4 cells in general
     * position (Lemma 1) and up to 9 when edges are exactly grid-aligned —
     * the conservative closed assignment keeps boundary points searchable
-    * from every touching cell.
+    * from every touching cell, and gives every cell all the rects that
+    * cover any point of its closed extent. A low edge on grid line `i`
+    * therefore also touches cell `i−1` (hence `ceil − 1` on the low side).
     */
   def cellsOverlapping(b: Box): IndexedSeq[(Long, Long)] = {
-    val i0 = math.floor((b.x0 - offX) / cellW).toLong
+    val i0 = math.ceil((b.x0 - offX) / cellW).toLong - 1
     val i1 = math.floor((b.x1 - offX) / cellW).toLong
-    val j0 = math.floor((b.y0 - offY) / cellH).toLong
+    val j0 = math.ceil((b.y0 - offY) / cellH).toLong - 1
     val j1 = math.floor((b.y1 - offY) / cellH).toLong
     val out = Vector.newBuilder[(Long, Long)]
     var i = i0

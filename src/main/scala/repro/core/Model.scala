@@ -48,12 +48,14 @@ object Win {
 
 /** The three event types of Section IV-C: a rectangle object entering the
   * current window, moving from current to past, or leaving the past window.
+  * Each kind is its transition: the object's weight moves by `dCur` in
+  * `W_c` and by `dPast` in `W_p`.
   */
-sealed abstract class EventKind extends Serializable
+sealed abstract class EventKind(val dCur: Int, val dPast: Int) extends Serializable
 object EventKind {
-  case object New     extends EventKind
-  case object Grown   extends EventKind
-  case object Expired extends EventKind
+  case object New     extends EventKind(+1, 0)
+  case object Grown   extends EventKind(-1, +1)
+  case object Expired extends EventKind(0, -1)
 }
 
 /** An event `e = ⟨g, l⟩` together with the wall-clock time it fires at. */

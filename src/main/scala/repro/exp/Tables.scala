@@ -1,6 +1,5 @@
 package repro.exp
 
-import scala.collection.mutable
 import repro.baseline.AG2
 import repro.core._
 import repro.core.topk._
@@ -331,34 +330,36 @@ object Tables {
     (line(header) +: sep +: rows.map(line)).mkString("\n")
   }
 
+  /** Table I with each dataset's paper rate scaled to `n` next to ours. */
+  def showTableI(n: Int, rows: Seq[TableIRow]): String =
+    s"Table I (datasets, n=$n; paper: 1M objects)\n" + fmtTable(
+      Seq("Dataset", "#Objects", "Rate(/h)", "paper Rate(/h)", "Lat range", "Lon range"),
+      rows.map { r =>
+        val paper = SpatialStreams.all.find(_.name == r.name).get.paperRatePerHour
+        Seq(r.name, r.n.toString, f"${r.ratePerHour}%.0f",
+            f"${paper * n / 1e6}%.0f (scaled) / $paper%.0f",
+            f"${r.latLo}%.1f..${r.latHi}%.1f", f"${r.lonLo}%.1f..${r.lonHi}%.1f")
+      },
+    )
+
+  def showTableII(n: Int, rows: Seq[TableIIRow]): String =
+    s"Table II (ratio of rectangle messages triggering a search, n=$n)\n" + fmtTable(
+      Seq("Dataset", "Window", "CCS", "B-CCS", "paper CCS", "paper B-CCS"),
+      rows.map(r => Seq(r.dataset, r.window, pct(r.ccs), pct(r.bccs), pct(r.paperCcs), pct(r.paperBccs))),
+    )
+
+  def showTableIII(n: Int, sampleEvery: Int, rows: Seq[TableIIIRow]): String =
+    s"Table III (approx ratio vs alpha, US, |W|=1h, n=$n, sample=$sampleEvery)\n" + fmtTable(
+      Seq("alpha", "GAPS", "MGAPS", "paper GAPS", "paper MGAPS"),
+      rows.map(r => Seq(r.alpha.toString, pct(r.gaps), pct(r.mgaps), pct(r.paperGaps), pct(r.paperMgaps))),
+    )
+
+  def showTableIV(n: Int, sampleEvery: Int, rows: Seq[TableIVRow]): String =
+    s"Table IV (approx ratio vs window, alpha=$defaultAlpha, n=$n, sample=$sampleEvery)\n" + fmtTable(
+      Seq("Dataset", "Window", "GAPS", "MGAPS", "paper GAPS", "paper MGAPS"),
+      rows.map(r => Seq(r.dataset, r.window, pct(r.gaps), pct(r.mgaps), pct(r.paperGaps), pct(r.paperMgaps))),
+    )
+
   def pct(v: Double): String   = f"$v%.2f%%"
   def nanos(v: Double): String = if (v >= 1e6) f"${v / 1e6}%.2f ms" else f"${v / 1e3}%.1f µs"
-
-  /** Maintains the live objects (W_c ∪ W_p) with their *processed-event*
-    * window membership — used by the naive top-k comparator and by
-    * replay-style tests. Several events can share a firing timestamp
-    * (e.g. a Grown due exactly when an Expired fires); mid-batch, the
-    * event-at-a-time structures legitimately differ from a `Win.of(now)`
-    * recomputation, so the oracle must derive membership from the events
-    * actually processed. `objectsAt` returns the live objects with
-    * timestamps adjusted so that `Win.of(t, now)` reproduces exactly that
-    * membership, making every BruteForce helper usable unchanged.
-    */
-  final class LiveSet(val windowMillis: Long) {
-    val cur  = mutable.LinkedHashMap.empty[Long, SpatialObj]
-    val past = mutable.LinkedHashMap.empty[Long, SpatialObj]
-
-    def apply(e: Event): Unit = e.kind match {
-      case EventKind.New     => cur(e.obj.id) = e.obj
-      case EventKind.Grown   => cur.remove(e.obj.id).foreach(o => past(o.id) = o)
-      case EventKind.Expired => past.remove(e.obj.id); cur.remove(e.obj.id)
-    }
-
-    def size: Int = cur.size + past.size
-
-    /** Live objects whose adjusted timestamps encode the processed state. */
-    def objectsAt(now: Long): IndexedSeq[SpatialObj] =
-      (cur.valuesIterator.map(_.copy(t = now)) ++
-        past.valuesIterator.map(_.copy(t = now - windowMillis))).toIndexedSeq
-  }
 }

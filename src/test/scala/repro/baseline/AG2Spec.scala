@@ -1,9 +1,8 @@
 package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{LiveSet, TestGen}
 import repro.core._
-import repro.exp.Tables.LiveSet
 import repro.stream.EventStream
 
 /** The adapted aG2 baseline must be *exact* (it is a different index over
@@ -11,30 +10,30 @@ import repro.stream.EventStream
   */
 class AG2Spec extends AnyFunSuite {
 
+  private def replay(objs: IndexedSeq[SpatialObj], cfg: SurgeConfig): Unit = {
+    val algo = new AG2(cfg)
+    val live = new LiveSet(cfg.windowMillis)
+    EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
+      live(e)
+      val got = algo.onEvent(e).map(_.score).getOrElse(0.0)
+      val exp = BruteForce.burstyPoint(live.objectsAt(e.at), e.at, cfg).map(_.score).getOrElse(0.0)
+      assert(math.abs(got - exp) < 1e-6, s"at ${e.kind}@${e.at}: got $got, brute $exp")
+    }
+  }
+
   for (seed <- 0 until 10)
     test(s"aG2 matches brute force after every event, seed $seed") {
-      val cfg  = TestGen.cfg(windowMillis = 1000L, alpha = (seed % 10) / 10.0)
-      val algo = new AG2(cfg)
-      val live = new LiveSet(cfg.windowMillis)
-      EventStream.fromObjects(TestGen.stream(seed, 40), cfg.windowMillis).foreach { e =>
-        live(e)
-        val got = algo.onEvent(e).map(_.score).getOrElse(0.0)
-        val exp = BruteForce.burstyPoint(live.objectsAt(e.at), e.at, cfg).map(_.score).getOrElse(0.0)
-        assert(math.abs(got - exp) < 1e-6, s"at ${e.kind}@${e.at}: got $got, brute $exp")
-      }
+      replay(TestGen.stream(seed, 40), TestGen.cfg(windowMillis = 1000L, alpha = (seed % 10) / 10.0))
     }
 
   for (seed <- 0 until 5)
     test(s"aG2 matches brute force on clustered streams, seed $seed") {
-      val cfg  = TestGen.cfg(windowMillis = 1200L, alpha = 0.5)
-      val algo = new AG2(cfg)
-      val live = new LiveSet(cfg.windowMillis)
-      EventStream.fromObjects(TestGen.clusteredStream(seed, 45), cfg.windowMillis).foreach { e =>
-        live(e)
-        val got = algo.onEvent(e).map(_.score).getOrElse(0.0)
-        val exp = BruteForce.burstyPoint(live.objectsAt(e.at), e.at, cfg).map(_.score).getOrElse(0.0)
-        assert(math.abs(got - exp) < 1e-6)
-      }
+      replay(TestGen.clusteredStream(seed, 45), TestGen.cfg(windowMillis = 1200L, alpha = 0.5))
+    }
+
+  for (alpha <- Seq(0.0, 0.5, 0.9); seed <- 0 until 3)
+    test(s"aG2 matches brute force on tie-heavy streams, alpha=$alpha, seed $seed") {
+      replay(TestGen.tiedStream(seed, 45), TestGen.cfg(windowMillis = 3 * TestGen.TiedStep, alpha = alpha))
     }
 
   test("aG2 agrees with CCS along a whole stream") {

@@ -1,8 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
-import repro.exp.Tables.LiveSet
+import repro.{LiveSet, TestGen}
 import repro.stream.EventStream
 
 /** Replay validation of the continuous exact solutions: after *every* event
@@ -41,6 +40,13 @@ class CellCspotSpec extends AnyFunSuite {
     test(s"$mode matches brute force after every event (clustered), seed $seed") {
       val cfg = TestGen.cfg(windowMillis = 1200L, alpha = 0.5)
       replay(TestGen.clusteredStream(seed, 45), cfg, mode)
+    }
+
+  for (mode <- Seq(BoundMode.Full, BoundMode.StaticOnly, BoundMode.NoBounds);
+       alpha <- Seq(0.0, 0.5, 0.9); seed <- 0 until 3)
+    test(s"$mode matches brute force after every event (tied, alpha=$alpha), seed $seed") {
+      val cfg = TestGen.cfg(windowMillis = 3 * TestGen.TiedStep, alpha = alpha)
+      replay(TestGen.tiedStream(seed, 45), cfg, mode)
     }
 
   for (seed <- 0 until 6)

@@ -2,8 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
-import repro.exp.Tables.LiveSet
+import repro.{LiveSet, TestGen}
 import repro.stream.EventStream
 
 class GapSurgeSpec extends AnyFunSuite {

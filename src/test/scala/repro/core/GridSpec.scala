@@ -62,4 +62,12 @@ class GridSpec extends AnyFunSuite {
     // boundary-touching neighbours included (closed semantics)
     assert(keys.contains((3L, 4L)))
   }
+
+  test("a grid-aligned cell-sized rect maps to exactly the 9 cells it touches") {
+    val g = new Grid(1.0, 0.5, 0.25, 0.0)
+    val b = Box(2.25, 1.5, 3.25, 2.0) // edges on grid lines x = 2.25, 3.25 and y = 1.5, 2.0
+    val expected = (for (i <- 1L to 3L; j <- 2L to 4L) yield (i, j)).toSet
+    assert(g.cellsOverlapping(b).toSet == expected)
+    expected.foreach(k => assert(g.cellBox(k).intersectsClosed(b)))
+  }
 }

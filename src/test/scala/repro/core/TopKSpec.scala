@@ -1,9 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{LiveSet, TestGen}
 import repro.core.topk._
-import repro.exp.Tables.LiveSet
 import repro.stream.EventStream
 
 /** Top-k validation: kCCS (Algorithm 4) must produce the greedy score
@@ -44,6 +43,25 @@ class TopKSpec extends AnyFunSuite {
         val got = scores(algo.onEvent(e))
         val exp = scores(BruteForce.topK(live.objectsAt(e.at), e.at, cfg, 3))
         got.zip(exp).foreach { case (g, x) => assert(math.abs(g - x) < 1e-6, s"got=$got exp=$exp") }
+      }
+    }
+
+  // Ties make the greedy vector ambiguous beyond p₁ (which tied point is
+  // picked decides what later levels see), so only p₁ is checked here.
+  for (alpha <- Seq(0.0, 0.5, 0.9); seed <- 0 until 3)
+    test(s"kCCS p1 matches brute force on tie-heavy streams, k=3, alpha=$alpha, seed $seed") {
+      val cfg  = TestGen.cfg(windowMillis = 3 * TestGen.TiedStep, alpha = alpha)
+      val algo = new KCellCspot(cfg, 3)
+      val live = new LiveSet(cfg.windowMillis)
+      EventStream.fromObjects(TestGen.tiedStream(seed, 45), cfg.windowMillis).foreach { e =>
+        live(e)
+        val p1  = algo.onEvent(e).head
+        val exp = BruteForce.burstyPoint(live.objectsAt(e.at), e.at, cfg).map(_.score).getOrElse(0.0)
+        assert(math.abs(p1.map(_.score).getOrElse(0.0) - exp) < 1e-6, s"at ${e.kind}@${e.at}: got $p1, brute $exp")
+        p1.foreach { p =>
+          val chk = BruteForce.scoreAt(live.objectsAt(e.at), e.at, cfg, p.x, p.y)
+          assert(math.abs(chk.score - p.score) < 1e-6, s"stale p1 $p vs $chk")
+        }
       }
     }
 

@@ -94,6 +94,44 @@ class EventStreamSpec extends AnyFunSuite {
       assert(live.isEmpty)
     }
 
+  test("matches a reference sort of all 3n events on tie-heavy streams") {
+    val rank = Map[EventKind, Int](EventKind.Expired -> 0, EventKind.Grown -> 1, EventKind.New -> 2)
+    for (seed <- 0 until 5; drainTail <- Seq(true, false)) {
+      val objs = TestGen.tiedStream(seed, 150)
+      val all = objs.zipWithIndex.flatMap { case (o, i) =>
+        Seq(Event(o, EventKind.New, o.t), Event(o, EventKind.Grown, o.t + W),
+            Event(o, EventKind.Expired, o.t + 2 * W)).map(e => (e, i))
+      }.sortBy { case (e, i) => (e.at, rank(e.kind), i) }.map(_._1)
+      val expected = if (drainTail) all else all.take(all.lastIndexWhere(_.kind == EventKind.New) + 1)
+      // the stream really is tie-heavy: every kind meets another at some instant
+      val kindsAt = all.groupBy(_.at).values.map(_.map(_.kind).toSet)
+      assert(kindsAt.exists(ks => ks.contains(EventKind.Expired) && ks.contains(EventKind.Grown) && ks.contains(EventKind.New)))
+      assert(EventStream.fromObjects(objs, W, drainTail).toVector == expected, s"seed $seed, drainTail=$drainTail")
+    }
+  }
+
+  private def rejects(objs: IndexedSeq[SpatialObj], mentions: String*): Unit = {
+    val ex = intercept[IllegalArgumentException](EventStream.fromObjects(objs, W).toVector)
+    mentions.foreach(m => assert(ex.getMessage.contains(m), s"'${ex.getMessage}' does not mention $m"))
+  }
+
+  test("rejects an arrival earlier than the previous one") {
+    rejects(IndexedSeq(SpatialObj(0, 1, 0, 0, 1000L), SpatialObj(1, 1, 0, 0, 2000L),
+                       SpatialObj(7, 1, 0, 0, 1999L)), "object 7", "1999", "2000")
+  }
+
+  test("rejects a non-finite position") {
+    for ((x, y) <- Seq((Double.NaN, 0.0), (0.0, Double.PositiveInfinity), (Double.NegativeInfinity, 1.0)))
+      rejects(IndexedSeq(SpatialObj(0, 1, 0, 0, 1000L), SpatialObj(3, 1, x, y, 1000L)),
+              "object 3", x.toString, y.toString)
+  }
+
+  test("rejects a weight that is not finite and positive") {
+    for (w <- Seq(0.0, -2.0, Double.NaN, Double.PositiveInfinity))
+      rejects(IndexedSeq(SpatialObj(0, 1, 0, 0, 1000L), SpatialObj(5, w, 0, 0, 1500L)),
+              "object 5", w.toString)
+  }
+
   test("deterministic: two iterations yield identical sequences") {
     val objs = TestGen.stream(6, 50)
     val a = EventStream.fromObjects(objs, W).toVector
