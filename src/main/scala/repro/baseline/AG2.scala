@@ -20,9 +20,11 @@ import repro.core._
   * Cached per-rect candidates are conservatively invalidated by any
   * overlapping event.
   */
-final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
+final class AG2(val cfg: SurgeConfig) {
   import EventKind._
 
+  // Cell side as a multiple of the query rectangle: Appendix J's `10q`.
+  private val cellFactor = 10.0
   private val grid = new Grid(cfg.rectW * cellFactor, cfg.rectH * cellFactor)
   private val cells = mutable.HashMap.empty[(Long, Long), mutable.LinkedHashMap[Long, SpatialObj]]
   private val reg   = mutable.HashMap.empty[Long, SpatialObj]
@@ -32,9 +34,7 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
   private val valid = mutable.HashMap.empty[Long, Boolean]
   private val heap  = new LazyMaxHeap[Long]
 
-  var now: Long = Long.MinValue
   val stats = new CspotStats
-  private var searchedThisMessage = false
 
   // Event-driven window membership (see CellCspot): Past from the processed
   // Grown event until the Expired event removes the rect.
@@ -45,17 +45,10 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
   /** Current number of graph edges (space-cost accounting, Section II). */
   def edgeCount: Long = nbrs.valuesIterator.map(_.size.toLong).sum / 2
 
-  def onEvent(e: Event): Option[BurstyPoint] = {
-    stats.messages += 1
-    searchedThisMessage = false
-    process(e)
-    val r = query()
-    if (searchedThisMessage) stats.messagesWithSearch += 1
-    r
-  }
+  def onEvent(e: Event): Option[BurstyPoint] = { process(e); query() }
 
   def process(e: Event): Unit = {
-    now = e.at
+    stats.message()
     val o   = e.obj
     val d   = cfg.delta(o.w)
     val box = cfg.rectBox(o)
@@ -142,9 +135,7 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
     val o     = reg(id)
     val group = (nbrs(id).iterator.map(reg) ++ Iterator.single(o)).toIndexedSeq
     val res   = SweepLine.burstyPoint(group, cfg.rectBox(o), cfg, winOf)
-    stats.searches += 1
-    stats.sweptRects += res.rectCount
-    searchedThisMessage = true
+    stats.search(res.rectCount)
     cand(id) = res.point.getOrElse(BurstyPoint(o.x, o.y, 0.0, 0.0, 0.0))
     valid(id) = true
   }

@@ -21,8 +21,20 @@ final class CspotStats {
   var messagesWithSearch: Long = 0L
   var searches: Long = 0L
   var sweptRects: Long = 0L
+  // `messages` when `messagesWithSearch` last counted, so a message counts once
+  private var searchedAt: Long = 0L
 
-  def reset(): Unit = { messages = 0; messagesWithSearch = 0; searches = 0; sweptRects = 0 }
+  /** A message was processed. */
+  def message(): Unit = messages += 1
+
+  /** One SL-CSPOT search over `rects` rects, made for the latest message. */
+  def search(rects: Int): Unit = {
+    searches += 1
+    sweptRects += rects
+    if (searchedAt != messages) { messagesWithSearch += 1; searchedAt = messages }
+  }
+
+  def reset(): Unit = { messages = 0; messagesWithSearch = 0; searches = 0; sweptRects = 0; searchedAt = 0 }
   def searchRatio: Double =
     if (messages == 0) 0.0 else messagesWithSearch.toDouble / messages
 }
@@ -47,31 +59,21 @@ final class CspotStats {
   * tracked score gains exactly the increment applied to `U_d`, so for valid
   * candidates `U(c) = S(c.p)` and the first valid heap top is the answer.
   */
-final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full,
-                      externalPast: Option[Long => Boolean] = None) {
+final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full) {
   private val grid  = new Grid(cfg.rectW, cfg.rectH)
   private val cells = mutable.HashMap.empty[(Long, Long), Cell]
   private val heap  = new LazyMaxHeap[(Long, Long)]
 
-  // Window membership is *event-driven*: an object is Past from the moment
-  // its Grown event is processed until its Expired event removes it. This
-  // keeps searches consistent with the incrementally-tracked bounds and
-  // candidates when several events share one firing timestamp. The top-k
-  // orchestrator shares one membership oracle across its layers via
-  // `externalPast` (layers never see events of rects invisible to them).
+  // Window membership is *event-driven*: a rect is Past from the update that
+  // adds its weight to `W_p` until the one that takes it out (`update`).
+  // This keeps searches consistent with the incrementally-tracked bounds and
+  // candidates when several events share one firing timestamp.
   private val pastIds = mutable.HashSet.empty[Long]
-  private def isPast(id: Long): Boolean = externalPast match {
-    case Some(f) => f(id)
-    case None    => pastIds.contains(id)
-  }
+  private[core] def isPast(id: Long): Boolean = pastIds.contains(id)
   private val winOf: SpatialObj => Win =
-    o => if (isPast(o.id)) Win.Past else Win.Cur
-
-  /** Wall-clock of the last processed event. */
-  var now: Long = Long.MinValue
+    o => if (pastIds.contains(o.id)) Win.Past else Win.Cur
 
   val stats = new CspotStats
-  private var searchedThisMessage = false
 
   private final class Cell(val key: (Long, Long)) {
     val rects = mutable.LinkedHashMap.empty[Long, SpatialObj]
@@ -100,42 +102,32 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     }
 
   /** Process one event and report the current bursty point (Algorithm 2). */
-  def onEvent(e: Event): Option[BurstyPoint] = {
-    stats.messages += 1
-    searchedThisMessage = false
-    process(e)
-    val r = query()
-    if (searchedThisMessage) stats.messagesWithSearch += 1
-    r
-  }
+  def onEvent(e: Event): Option[BurstyPoint] = { process(e); query() }
 
   /** Apply an event's bound/candidate updates without querying — used when a
     * caller samples queries sparsely (the structures stay exact; searches
     * only happen inside `query()` except in `NoBounds` mode).
     */
   def process(e: Event): Unit = {
-    now = e.at
-    val o = e.obj
-    if (externalPast.isEmpty) {
-      if (e.kind.dPast > 0) pastIds += o.id
-      else if (e.kind.dPast < 0) pastIds -= o.id
-    }
-    val d = cfg.delta(o.w)
-    update(o, e.kind.dCur * d, e.kind.dPast * d)
+    stats.message()
+    val d = cfg.delta(e.obj.w)
+    update(e.obj, e.kind.dCur * d, e.kind.dPast * d)
   }
 
   /** Synthetic insert/remove used by the top-k extension (Section VI-B):
     * rectangle `o` becomes (in)visible to this instance while the clock
-    * stands still, adding or removing its weight in the window it is in.
+    * stands still, adding or removing its weight in the window it is in
+    * (`W_p` if `past`, else `W_c`).
     */
-  def synthetic(o: SpatialObj, insert: Boolean): Unit = {
+  def synthetic(o: SpatialObj, insert: Boolean, past: Boolean): Unit = {
     val d = if (insert) cfg.delta(o.w) else -cfg.delta(o.w)
-    if (isPast(o.id)) update(o, 0.0, d) else update(o, d, 0.0)
+    if (past) update(o, 0.0, d) else update(o, d, 0.0)
   }
 
   /** The Lemma 3/4 case analysis, once: every cell `o` touches sees the
     * points `o` covers change by `dc` in `f_c` and `dp` in `f_p`.
     *  - `o` joins the cells when `dc + dp > 0` and leaves when `< 0`;
+    *  - `o` is Past from `dp > 0` until `dp < 0`;
     *  - `U_s` (Eqn 2) moves by `dc`;
     *  - `U_d` (Eqn 3) grows by the largest rise of `S = max(f_c − α·f_p,
     *    (1−α)·f_c)` any covered point can see, and never shrinks;
@@ -149,6 +141,8 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     val size  = dc + dp
     val dUd   = math.max(0.0, math.max(dc - cfg.alpha * dp, (1 - cfg.alpha) * dc))
     val rises = dc > 0 || dp < 0
+    if (dp > 0) pastIds += o.id
+    else if (dp < 0) pastIds -= o.id
     grid.cellsOverlapping(obox).foreach { key =>
       val c =
         if (size > 0) cells.getOrElseUpdate(key, new Cell(key))
@@ -188,9 +182,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
 
   private def searchCell(c: Cell): Unit = {
     val res = SweepLine.burstyPoint(c.rects.values, grid.cellBox(c.key), cfg, winOf)
-    stats.searches += 1
-    stats.sweptRects += res.rectCount
-    searchedThisMessage = true
+    stats.search(res.rectCount)
     c.cand = res.point.getOrElse {
       val b = grid.cellBox(c.key)
       BurstyPoint(b.x0, b.y0, 0.0, 0.0, 0.0)

@@ -21,22 +21,17 @@ import repro.core._
   *    every layer.
   */
 final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
-  import EventKind._
   require(k >= 1)
 
-  // One membership oracle shared by every layer: a layer never sees the
-  // Grown/Expired events of rects invisible to it, so window membership is
-  // tracked here (event-driven, consistent with CellCspot's discipline).
-  private val pastIds = mutable.HashSet.empty[Long]
-  private val layers =
-    Array.fill(k)(new CellCspot(cfg, BoundMode.Full, externalPast = Some(pastIds.contains)))
-  private val objs   = mutable.HashMap.empty[Long, SpatialObj]
+  // layers(i - 1) holds exactly the live rects of level ≥ i. Layer 0 holds
+  // every live rect and sees every event, so it answers window membership.
+  private val layers = Array.fill(k)(new CellCspot(cfg, BoundMode.Full))
+  // pinned(i) = {o : lvl(o.id) = i} for 1 ≤ i < k; `setLevel` is the only
+  // method that changes a live rect's level. Level k needs no set: layer k-1
+  // is the last, so covering p[k] and covering nothing look the same.
   private val lvl    = mutable.HashMap.empty[Long, Int]
-  // coverIds(i) = ids currently pinned at level i by step i's selection
-  private val coverIds = Array.fill(k + 1)(mutable.HashSet.empty[Long])
-  private val points   = Array.fill[Option[BurstyPoint]](k + 1)(None)
-
-  var now: Long = Long.MinValue
+  private val pinned = Array.fill(k)(mutable.LinkedHashMap.empty[Long, SpatialObj])
+  private val points = Array.fill[Option[BurstyPoint]](k)(None)
 
   /** Total SL-CSPOT invocations across all layers (cost accounting). */
   def searches: Long = layers.map(_.stats.searches).sum
@@ -45,70 +40,49 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     * (`None` entries when fewer than i covered points exist).
     */
   def onEvent(e: Event): IndexedSeq[Option[BurstyPoint]] = {
-    now = e.at
     val o = e.obj
-    e.kind match {
-      case New =>
-        objs(o.id) = o
-        lvl(o.id) = k
-        layers.foreach(_.process(e))
-      case Grown =>
-        val l = lvl(o.id)
-        pastIds += o.id
-        (0 until l).foreach(i => layers(i).process(e))
-      case Expired =>
-        val l = lvl.remove(o.id).getOrElse(k)
-        objs.remove(o.id)
-        coverIds(l).remove(o.id)
-        (0 until l).foreach(i => layers(i).process(e))
-        pastIds -= o.id
+    val l = lvl.getOrElseUpdate(o.id, k)
+    var j = 0
+    while (j < l) { layers(j).process(e); j += 1 }
+    if (e.kind == EventKind.Expired) {
+      lvl.remove(o.id)
+      if (l < k) pinned(l).remove(o.id)
     }
 
     var i = 1
     while (i <= k) {
-      val res = layers(i - 1).query()
-      points(i) = res
-      val newCover: Set[Long] = res match {
-        case Some(bp) =>
-          layers(i - 1).rectsCovering(bp.x, bp.y).map(_.id).toSet
-        case None => Set.empty
+      val p = layers(i - 1).query()
+      points(i - 1) = p
+      if (i < k) {
+        // Layer i-1 holds every rect of level ≥ i, so a rect pinned at i has
+        // left p[i]'s cover set iff its box no longer contains p[i]. The
+        // releases are copied out because setLevel edits pinned(i); pinning
+        // to i only edits layers i.., so layer i-1 can be iterated lazily.
+        pinned(i).valuesIterator
+          .filterNot(r => p.exists(bp => cfg.rectBox(r).contains(bp.x, bp.y)))
+          .toList.foreach(setLevel(_, k))
+        p.foreach { bp =>
+          layers(i - 1).rectsCovering(bp.x, bp.y).filter(r => lvl(r.id) > i).foreach(setLevel(_, i))
+        }
       }
-      // Release rects pinned at i that no longer cover p[i] → level k,
-      // re-inserting them into layers i+1..k. Guard on `lvl == i`: an
-      // earlier step of this very event may have already re-pinned the rect
-      // to a lower level (it covers that step's new point), in which case
-      // the stale coverIds entry must not resurrect it.
-      coverIds(i).toArray.foreach { id =>
-        if (!newCover.contains(id) && objs.contains(id) && lvl(id) == i) setLevel(id, k)
-      }
-      // Pin rects (level > i) now covering p[i] → level i, removing them
-      // from layers i+1..oldLevel.
-      newCover.foreach { id =>
-        if (lvl(id) > i) setLevel(id, i)
-      }
-      coverIds(i).clear()
-      coverIds(i) ++= newCover.filter(id => lvl(id) == i)
       i += 1
     }
-    (1 to k).map(points(_))
+    current
   }
 
   /** Current top-k without processing an event. */
-  def current: IndexedSeq[Option[BurstyPoint]] = (1 to k).map(points(_))
+  def current: IndexedSeq[Option[BurstyPoint]] = points.toIndexedSeq
 
-  private def setLevel(id: Long, to: Int): Unit = {
-    val from = lvl(id)
-    if (from == to) return
-    val o = objs(id)
-    lvl(id) = to
-    if (to > from) {
-      // becoming visible to layers from+1 .. to
-      var j = from + 1
-      while (j <= to) { layers(j - 1).synthetic(o, insert = true); j += 1 }
-    } else {
-      // becoming invisible to layers to+1 .. from
-      var j = to + 1
-      while (j <= from) { layers(j - 1).synthetic(o, insert = false); j += 1 }
-    }
+  /** Moves live rect `o` to level `to`: it appears in (or vanishes from)
+    * the layers between its old and new level, in the window it is in.
+    */
+  private def setLevel(o: SpatialObj, to: Int): Unit = {
+    val from = lvl(o.id)
+    if (from < k) pinned(from).remove(o.id)
+    if (to < k) pinned(to)(o.id) = o
+    lvl(o.id) = to
+    val past = layers(0).isPast(o.id)
+    var j = math.min(from, to)
+    while (j < math.max(from, to)) { layers(j).synthetic(o, insert = to > from, past); j += 1 }
   }
 }

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.baseline.AG2
 import repro.core._
-import repro.core.topk._
+import repro.core.topk.KCellCspot
 import repro.data.SpatialStreams
 import repro.data.SpatialStreams.DatasetSpec
 import repro.stream.EventStream
@@ -285,8 +285,8 @@ object Tables {
     } yield {
       val run: Event => Unit = algo match {
         case "kCCS"   => val a = new KCellCspot(cfg, k); e => { a.onEvent(e); () }
-        case "kGAPS"  => val a = new KGapSurge(cfg, k); e => { a.onEvent(e); () }
-        case "kMGAPS" => val a = new KMGapSurge(cfg, k); e => { a.onEvent(e); () }
+        case "kGAPS"  => val a = new GapSurge(cfg); e => { a.process(e); a.topK(k); () }
+        case "kMGAPS" => val a = new MGapSurge(cfg); e => { a.process(e); a.topK(k); () }
       }
       val (_, ns) = timePerMessage(objs, cfg.windowMillis)(run)
       TopKRow(spec.name, k, algo, ns)

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core.SurgeConfig
 
@@ -35,12 +35,14 @@ object GridBurstBatch {
         (sum("wc") / cfg.windowNorm).as("fc"),
         (sum("wp") / cfg.windowNorm).as("fp"),
       )
-      .withColumn(
-        "score",
-        lit(cfg.alpha) * greatest(col("fc") - col("fp"), lit(0.0)) +
-          lit(1 - cfg.alpha) * col("fc"),
-      )
+      .withColumn("score", burstScore(cfg))
   }
+
+  /** Burst score `α·max(fc−fp, 0) + (1−α)·fc` (Definition 1) over the
+    * `fc` and `fp` columns.
+    */
+  private[spark] def burstScore(cfg: SurgeConfig): Column =
+    lit(cfg.alpha) * greatest(col("fc") - col("fp"), lit(0.0)) + lit(1 - cfg.alpha) * col("fc")
 
   /** The top-k cells by burst score (kGAPS on a snapshot). */
   def topKCells(objs: DataFrame, cfg: SurgeConfig, now: Long, k: Int,

@@ -24,14 +24,13 @@ object StreamingSurge {
     *
     * @param objs streaming or batch DataFrame with `ts: timestamp, x, y, w`
     */
-  def cellWindowSums(objs: DataFrame, cfg: SurgeConfig,
-                     offX: Double = 0.0, offY: Double = 0.0): DataFrame = {
+  def cellWindowSums(objs: DataFrame, cfg: SurgeConfig): DataFrame = {
     require(cfg.windowMillis % 1000 == 0, "streaming windows must be whole seconds")
     objs
       .groupBy(
         window(col("ts"), s"${cfg.windowMillis / 1000} seconds"),
-        floor((col("x") - offX) / cfg.rectW).cast("long").as("cx"),
-        floor((col("y") - offY) / cfg.rectH).cast("long").as("cy"),
+        floor(col("x") / cfg.rectW).cast("long").as("cx"),
+        floor(col("y") / cfg.rectH).cast("long").as("cy"),
       )
       .agg(sum("w").as("wsum"))
   }
@@ -60,11 +59,7 @@ object StreamingSurge {
         (col("wsum") / cfg.windowNorm).as("fc"),
         (col("wprev") / cfg.windowNorm).as("fp"),
       )
-      .withColumn(
-        "score",
-        lit(cfg.alpha) * greatest(col("fc") - col("fp"), lit(0.0)) +
-          lit(1 - cfg.alpha) * col("fc"),
-      )
+      .withColumn("score", GridBurstBatch.burstScore(cfg))
   }
 
   /** Top bursty cell per window (the continuous report stream). */

@@ -90,6 +90,24 @@ class CellCspotSpec extends AnyFunSuite {
            s"ccs=${ccs.stats.searches} bccs=${bccs.stats.searches}")
   }
 
+  for (mode <- Seq(BoundMode.Full, BoundMode.StaticOnly, BoundMode.NoBounds))
+    test(s"$mode counts the same stats through process+query as through onEvent") {
+      val cfg   = TestGen.cfg(windowMillis = 1200L, alpha = 0.5)
+      val whole = new CellCspot(cfg, mode)
+      val split = new CellCspot(cfg, mode)
+      var searching = 0L
+      EventStream.fromObjects(TestGen.clusteredStream(4, 60), cfg.windowMillis).foreach { e =>
+        whole.onEvent(e)
+        val before = split.stats.searches
+        split.process(e); split.query()
+        if (split.stats.searches > before) searching += 1
+      }
+      def counts(s: CspotStats) = (s.messages, s.messagesWithSearch, s.searches, s.sweptRects)
+      assert(searching > 0)
+      assert(split.stats.messagesWithSearch == searching)
+      assert(counts(split.stats) == counts(whole.stats))
+    }
+
   test("empty structure reports no bursty point and survives queries") {
     val algo = new CellCspot(TestGen.cfg(), BoundMode.Full)
     assert(algo.query().isEmpty)

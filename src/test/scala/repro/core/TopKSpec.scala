@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{LiveSet, TestGen}
-import repro.core.topk._
+import repro.core.topk.KCellCspot
 import repro.stream.EventStream
 
 /** Top-k validation: kCCS (Algorithm 4) must produce the greedy score
@@ -33,15 +33,15 @@ class TopKSpec extends AnyFunSuite {
       }
     }
 
-  for (seed <- 0 until 5)
-    test(s"kCCS on clustered streams, k=3, seed $seed") {
+  for (k <- Seq(3, 5); seed <- 0 until 5)
+    test(s"kCCS on clustered streams, k=$k, seed $seed") {
       val cfg  = TestGen.cfg(windowMillis = 1200L, alpha = 0.5)
-      val algo = new KCellCspot(cfg, 3)
+      val algo = new KCellCspot(cfg, k)
       val live = new LiveSet(cfg.windowMillis)
       EventStream.fromObjects(TestGen.clusteredStream(seed, 35), cfg.windowMillis).foreach { e =>
         live(e)
         val got = scores(algo.onEvent(e))
-        val exp = scores(BruteForce.topK(live.objectsAt(e.at), e.at, cfg, 3))
+        val exp = scores(BruteForce.topK(live.objectsAt(e.at), e.at, cfg, k))
         got.zip(exp).foreach { case (g, x) => assert(math.abs(g - x) < 1e-6, s"got=$got exp=$exp") }
       }
     }
@@ -91,12 +91,13 @@ class TopKSpec extends AnyFunSuite {
   for (seed <- 0 until 6)
     test(s"kGAPS equals the k best reference cell scores, seed $seed") {
       val cfg  = TestGen.cfg(windowMillis = 1500L, alpha = 0.5)
-      val algo = new KGapSurge(cfg, 3)
+      val algo = new GapSurge(cfg)
       val grid = new Grid(cfg.rectW, cfg.rectH)
       val live = new LiveSet(cfg.windowMillis)
       EventStream.fromObjects(TestGen.stream(seed, 60), cfg.windowMillis).foreach { e =>
         live(e)
-        val got = algo.onEvent(e).map(_.score)
+        algo.process(e)
+        val got = algo.topK(3).map(_.score)
         val ref = live.objectsAt(e.at)
           .groupBy(o => grid.cellOf(o.x, o.y))
           .map { case (_, os) =>
@@ -113,14 +114,14 @@ class TopKSpec extends AnyFunSuite {
 
   test("kMGAPS results are disjoint, descending, and at least as good as kGAPS's best") {
     val cfg  = TestGen.cfg(windowMillis = 1500L)
-    val kg   = new KGapSurge(cfg, 3)
-    val km   = new KMGapSurge(cfg, 3)
+    val kg   = new GapSurge(cfg)
+    val km   = new MGapSurge(cfg)
     EventStream.fromObjects(TestGen.clusteredStream(30, 80), cfg.windowMillis, drainTail = false)
       .foreach { e =>
         kg.process(e); km.process(e)
       }
-    val g = kg.current
-    val m = km.current
+    val g = kg.topK(3)
+    val m = km.topK(3)
     assert(m.nonEmpty)
     m.sliding(2).foreach {
       case Seq(a, b) => assert(a.score >= b.score - 1e-9)
