@@ -1,7 +1,6 @@
 package repro.baseline
 
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 import repro.core._
 
 /** Modified aG2 (Amagata & Hara, EDBT 2016), adapted to the SURGE burst
@@ -21,17 +20,11 @@ import repro.core._
   * overlapping event.
   */
 final class AG2(val cfg: SurgeConfig) {
-  import EventKind._
-
   // Cell side as a multiple of the query rectangle: Appendix J's `10q`.
   private val cellFactor = 10.0
-  private val grid = new Grid(cfg.rectW * cellFactor, cfg.rectH * cellFactor)
+  private val grid  = new Grid(cfg.rectW * cellFactor, cfg.rectH * cellFactor)
   private val cells = mutable.HashMap.empty[(Long, Long), mutable.LinkedHashMap[Long, SpatialObj]]
-  private val reg   = mutable.HashMap.empty[Long, SpatialObj]
-  private val nbrs  = mutable.HashMap.empty[Long, mutable.HashSet[Long]]
-  private val ub    = mutable.HashMap.empty[Long, Double]
-  private val cand  = mutable.HashMap.empty[Long, BurstyPoint]
-  private val valid = mutable.HashMap.empty[Long, Boolean]
+  private val nodes = mutable.HashMap.empty[Long, Node]
   private val heap  = new LazyMaxHeap[Long]
 
   val stats = new CspotStats
@@ -42,64 +35,78 @@ final class AG2(val cfg: SurgeConfig) {
   private val winOf: SpatialObj => Win =
     o => if (pastIds.contains(o.id)) Win.Past else Win.Cur
 
+  /** One live rect of the graph: its overlapping neighbours, its bound (the
+    * current-window weight of itself and its neighbours) and its candidate.
+    */
+  private final class Node(val o: SpatialObj) extends SearchRegion {
+    val nbrs = mutable.HashSet.empty[Long]
+    var ub: Double = 0.0
+    var cand: BurstyPoint = _
+    var candValid: Boolean = false
+
+    def bound: Double = ub
+
+    def search(): Unit = {
+      val group = (nbrs.iterator.map(nodes(_).o) ++ Iterator.single(o)).toIndexedSeq
+      val res   = SweepLine.burstyPoint(group, cfg.rectBox(o), cfg, winOf)
+      stats.search(res.rectCount)
+      cand = res.point.getOrElse(BurstyPoint(o.x, o.y, 0.0, 0.0, 0.0))
+      candValid = true
+    }
+  }
+
   /** Current number of graph edges (space-cost accounting, Section II). */
-  def edgeCount: Long = nbrs.valuesIterator.map(_.size.toLong).sum / 2
+  def edgeCount: Long = nodes.valuesIterator.map(_.nbrs.size.toLong).sum / 2
 
   def onEvent(e: Event): Option[BurstyPoint] = { process(e); query() }
 
+  /** `o`'s weight moves by `dc` in `W_c` and `dp` in `W_p`: `o` joins the
+    * graph when `dc + dp > 0` and leaves it when `< 0`; its own bound and
+    * its neighbours' move by `dc` and their candidates become invalid.
+    */
   def process(e: Event): Unit = {
     stats.message()
     val o   = e.obj
     val d   = cfg.delta(o.w)
+    val dc  = e.kind.dCur * d
+    val dp  = e.kind.dPast * d
     val box = cfg.rectBox(o)
-    e.kind match {
-      case New =>
-        reg(o.id) = o
-        val keys = grid.cellsOverlapping(box)
-        // Build the overlap edges through the cell lists.
-        val ns = mutable.HashSet.empty[Long]
-        keys.foreach { key =>
-          cells.get(key).foreach(_.valuesIterator.foreach { m =>
-            if (m.id != o.id && cfg.rectBox(m).intersectsClosed(box)) ns += m.id
-          })
-        }
-        nbrs(o.id) = ns
-        var selfUb = d
-        ns.foreach { nid =>
-          nbrs(nid) += o.id
-          val m = reg(nid)
-          if (!pastIds.contains(nid)) selfUb += cfg.delta(m.w)
-          ub(nid) = ub(nid) + d
-          valid(nid) = false
-          heap.update(nid, ub(nid))
-        }
-        keys.foreach(key => cells.getOrElseUpdate(key, mutable.LinkedHashMap.empty).update(o.id, o))
-        ub(o.id) = selfUb
-        valid(o.id) = false
-        heap.update(o.id, selfUb)
-      case Grown =>
-        pastIds += o.id
-        val touched = nbrs(o.id).toArray :+ o.id
-        touched.foreach { nid =>
-          ub(nid) = ub(nid) - d
-          valid(nid) = false
-          heap.update(nid, ub(nid))
-        }
-      case Expired =>
-        pastIds -= o.id
-        nbrs.remove(o.id).foreach(_.foreach { nid =>
-          nbrs(nid) -= o.id
-          valid(nid) = false
-          // o was in the past window: its weight is no longer in any bound.
+    if (dp > 0) pastIds += o.id
+    else if (dp < 0) pastIds -= o.id
+    if (dc + dp > 0) {
+      // Build the overlap edges through the cell lists.
+      val n    = new Node(o)
+      val keys = grid.cellsOverlapping(box)
+      keys.foreach { key =>
+        cells.get(key).foreach(_.valuesIterator.foreach { m =>
+          if (cfg.rectBox(m).intersectsClosed(box)) n.nbrs += m.id
         })
-        grid.cellsOverlapping(box).foreach { key =>
-          cells.get(key).foreach { cl =>
-            cl.remove(o.id)
-            if (cl.isEmpty) cells.remove(key)
-          }
+      }
+      n.nbrs.foreach { nid =>
+        val m = nodes(nid)
+        m.nbrs += o.id
+        if (!pastIds.contains(nid)) n.ub += cfg.delta(m.o.w)
+      }
+      keys.foreach(key => cells.getOrElseUpdate(key, mutable.LinkedHashMap.empty).update(o.id, o))
+      nodes(o.id) = n
+    }
+    // A node whose bound did not move keeps its heap entry.
+    val self = nodes(o.id)
+    (self.nbrs.iterator.map(nodes) ++ Iterator.single(self)).foreach { n =>
+      n.ub += dc
+      n.candValid = false
+      if (dc != 0) heap.update(n.o.id, n.ub)
+    }
+    if (dc + dp < 0) {
+      self.nbrs.foreach(nid => nodes(nid).nbrs -= o.id)
+      grid.cellsOverlapping(box).foreach { key =>
+        cells.get(key).foreach { cl =>
+          cl.remove(o.id)
+          if (cl.isEmpty) cells.remove(key)
         }
-        reg.remove(o.id); ub.remove(o.id); cand.remove(o.id); valid.remove(o.id)
-        heap.remove(o.id)
+      }
+      nodes.remove(o.id)
+      heap.remove(o.id)
     }
   }
 
@@ -107,36 +114,5 @@ final class AG2(val cfg: SurgeConfig) {
     * inside some live rectangle, so the max over per-rect searches is the
     * global bursty point.
     */
-  def query(): Option[BurstyPoint] = {
-    var best: BurstyPoint = null
-    val stash = ArrayBuffer.empty[Long]
-    var done  = false
-    while (!done) {
-      heap.peekMax match {
-        case None => done = true
-        case Some((id, u)) =>
-          if (best != null && u <= best.score + 1e-9) done = true
-          else {
-            if (!valid.getOrElse(id, false)) search(id)
-            else {
-              val c = cand(id)
-              if (best == null || c.score > best.score) best = c
-              heap.popMax
-              stash += id
-            }
-          }
-      }
-    }
-    stash.foreach(id => if (reg.contains(id)) heap.update(id, ub(id)))
-    Option(best)
-  }
-
-  private def search(id: Long): Unit = {
-    val o     = reg(id)
-    val group = (nbrs(id).iterator.map(reg) ++ Iterator.single(o)).toIndexedSeq
-    val res   = SweepLine.burstyPoint(group, cfg.rectBox(o), cfg, winOf)
-    stats.search(res.rectCount)
-    cand(id) = res.point.getOrElse(BurstyPoint(o.x, o.y, 0.0, 0.0, 0.0))
-    valid(id) = true
-  }
+  def query(): Option[BurstyPoint] = SearchRegion.best(heap, nodes)
 }

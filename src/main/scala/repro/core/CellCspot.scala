@@ -6,7 +6,8 @@ import scala.collection.mutable.ArrayBuffer
 /** Upper-bound discipline of a [[CellCspot]] instance (Section VII-A):
   * `Full` = CCS (static Eqn 2 + dynamic Eqn 3 bounds, candidate reuse),
   * `StaticOnly` = B-CCS (static bound only, candidate reuse),
-  * `NoBounds` = Base (search every affected cell on every event).
+  * `NoBounds` = Base (no bound: every cell an event touches is searched
+  * at the next query).
   */
 sealed abstract class BoundMode
 object BoundMode {
@@ -37,6 +38,50 @@ final class CspotStats {
   def reset(): Unit = { messages = 0; messagesWithSearch = 0; searches = 0; sweptRects = 0; searchedAt = 0 }
   def searchRatio: Double =
     if (messages == 0) 0.0 else messagesWithSearch.toDouble / messages
+}
+
+/** A region of Algorithm 2's lazy search: an upper bound on the burst score
+  * of any point in it, and a candidate point that `search` makes valid.
+  */
+private[repro] trait SearchRegion {
+  def bound: Double
+  def cand: BurstyPoint
+  def candValid: Boolean
+  def search(): Unit
+}
+
+private[repro] object SearchRegion {
+
+  /** The lazy-update search of Section IV-C1: walk regions by descending
+    * bound, re-search each invalid one and re-push it at its new bound, and
+    * stop as soon as no bound exceeds the best valid candidate. Popped
+    * regions are pushed back, so the call is idempotent.
+    */
+  def best[K](heap: LazyMaxHeap[K], region: K => SearchRegion): Option[BurstyPoint] = {
+    var best: BurstyPoint = null
+    val stash = ArrayBuffer.empty[K]
+    var done  = false
+    while (!done) {
+      heap.peekMax match {
+        case None => done = true
+        case Some((k, u)) =>
+          if (best != null && u <= best.score + 1e-9) done = true
+          else {
+            val r = region(k)
+            if (!r.candValid) {
+              r.search()
+              heap.update(k, r.bound)
+            } else {
+              if (best == null || r.cand.score > best.score) best = r.cand
+              heap.popMax
+              stash += k
+            }
+          }
+      }
+    }
+    stash.foreach(k => heap.update(k, region(k).bound))
+    Option(best)
+  }
 }
 
 /** Cell-CSPOT (Algorithm 2): exact continuous bursty-point detection.
@@ -75,7 +120,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
 
   val stats = new CspotStats
 
-  private final class Cell(val key: (Long, Long)) {
+  private final class Cell(val key: (Long, Long)) extends SearchRegion {
     val rects = mutable.LinkedHashMap.empty[Long, SpatialObj]
     var us: Double = 0.0
     var ud: Double = Double.PositiveInfinity
@@ -85,7 +130,16 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     def bound: Double = mode match {
       case BoundMode.Full       => math.min(math.max(us, 0.0), ud)
       case BoundMode.StaticOnly => math.max(us, 0.0)
-      case BoundMode.NoBounds   => if (cand == null) 0.0 else cand.score
+      case BoundMode.NoBounds   => if (candValid) cand.score else Double.PositiveInfinity
+    }
+
+    def search(): Unit = {
+      val box = grid.cellBox(key)
+      val res = SweepLine.burstyPoint(rects.values, box, cfg, winOf)
+      stats.search(res.rectCount)
+      cand = res.point.getOrElse(BurstyPoint(box.x0, box.y0, 0.0, 0.0, 0.0))
+      candValid = true
+      ud = cand.score
     }
   }
 
@@ -106,7 +160,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
 
   /** Apply an event's bound/candidate updates without querying — used when a
     * caller samples queries sparsely (the structures stay exact; searches
-    * only happen inside `query()` except in `NoBounds` mode).
+    * only happen inside `query()`).
     */
   def process(e: Event): Unit = {
     stats.message()
@@ -135,6 +189,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     *  - Lemma 4 (conservative form, on pre-update scores): after a rise
     *    (`dc > 0` or `dp < 0`) the candidate stays the cell's best iff `o`
     *    covers it and `f_c ≥ f_p` there; after a fall iff `o` misses it.
+    *    Base (`NoBounds`) keeps no candidate valid across an update.
     */
   private def update(o: SpatialObj, dc: Double, dp: Double): Unit = {
     val obox  = cfg.rectBox(o)
@@ -160,65 +215,19 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
             val fp = c.cand.fp + dp
             c.cand = BurstyPoint(c.cand.x, c.cand.y, fc, fp, cfg.burst(fc, fp))
           }
-          if (c.candValid) c.candValid = if (rises) covered && pre >= -1e-9 else !covered
+          if (c.candValid)
+            c.candValid = mode != BoundMode.NoBounds && (if (rises) covered && pre >= -1e-9 else !covered)
         }
-        finishCellUpdate(key, c)
+        if (c.rects.isEmpty) {
+          cells.remove(key)
+          heap.remove(key)
+        } else heap.update(key, c.bound)
       }
     }
-  }
-
-  private def finishCellUpdate(key: (Long, Long), c: Cell): Unit = {
-    if (c.rects.isEmpty) {
-      cells.remove(key)
-      heap.remove(key)
-    } else mode match {
-      case BoundMode.NoBounds =>
-        searchCell(c)
-        heap.update(key, c.bound)
-      case _ =>
-        heap.update(key, c.bound)
-    }
-  }
-
-  private def searchCell(c: Cell): Unit = {
-    val res = SweepLine.burstyPoint(c.rects.values, grid.cellBox(c.key), cfg, winOf)
-    stats.search(res.rectCount)
-    c.cand = res.point.getOrElse {
-      val b = grid.cellBox(c.key)
-      BurstyPoint(b.x0, b.y0, 0.0, 0.0, 0.0)
-    }
-    c.candValid = true
-    if (mode == BoundMode.Full) c.ud = c.cand.score
   }
 
   /** Current bursty point (the lazy-update search loop of Algorithm 2).
     * Idempotent; may be called as often or as rarely as the caller likes.
     */
-  def query(): Option[BurstyPoint] = {
-    if (mode == BoundMode.NoBounds)
-      return heap.peekMax.map { case (k, _) => cells(k).cand }
-    var best: BurstyPoint = null
-    val stash = ArrayBuffer.empty[(Long, Long)]
-    var done  = false
-    while (!done) {
-      heap.peekMax match {
-        case None => done = true
-        case Some((k, u)) =>
-          if (best != null && u <= best.score + 1e-9) done = true
-          else {
-            val c = cells(k)
-            if (!c.candValid) {
-              searchCell(c)
-              heap.update(k, c.bound)
-            } else {
-              if (best == null || c.cand.score > best.score) best = c.cand
-              heap.popMax
-              stash += k
-            }
-          }
-      }
-    }
-    stash.foreach(k => cells.get(k).foreach(c => heap.update(k, c.bound)))
-    Option(best)
-  }
+  def query(): Option[BurstyPoint] = SearchRegion.best(heap, cells)
 }

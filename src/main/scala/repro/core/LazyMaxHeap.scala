@@ -17,10 +17,6 @@ final class LazyMaxHeap[K] {
 
   /** Number of live keys. */
   def size: Int = prio.size
-  def isEmpty: Boolean = prio.isEmpty
-
-  /** Current priority of `k`, if present. */
-  def get(k: K): Option[Double] = prio.get(k)
 
   /** Insert `k` or change its priority. */
   def update(k: K, p: Double): Unit = {

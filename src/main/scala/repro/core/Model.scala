@@ -99,6 +99,5 @@ final case class SurgeConfig(rectW: Double, rectH: Double, windowMillis: Long, a
     */
   def regionOf(px: Double, py: Double): Box = Box(px - rectW, py - rectH, px, py)
 
-  def withAlpha(a: Double): SurgeConfig = copy(alpha = a)
   def withWindowMillis(w: Long): SurgeConfig = copy(windowMillis = w)
 }

@@ -66,19 +66,33 @@ object Tables {
     */
   def timePerMessage(objs: IndexedSeq[SpatialObj], windowMillis: Long)
                     (algo: Event => Unit): (Long, Double) = {
-    var warmed   = false
+    val (warmup, stable) = warmSplit(objs, windowMillis)
+    warmup.foreach(algo)
     var messages = 0L
     var nanos    = 0L
-    EventStream.fromObjects(objs, windowMillis, drainTail = false).foreach { e =>
-      if (!warmed && e.kind == EventKind.Expired) warmed = true
-      if (warmed) {
-        val t0 = System.nanoTime()
-        algo(e)
-        nanos += System.nanoTime() - t0
-        messages += 1
-      } else algo(e)
+    stable.foreach { e =>
+      val t0 = System.nanoTime()
+      algo(e)
+      nanos += System.nanoTime() - t0
+      messages += 1
     }
     (messages, if (messages == 0) 0.0 else nanos.toDouble / messages)
+  }
+
+  /** The event stream of `objs` split at the first `Expired` event: the
+    * warm-up, then the stable part. Consume the first before the second.
+    */
+  private def warmSplit(objs: IndexedSeq[SpatialObj], windowMillis: Long): (Iterator[Event], Iterator[Event]) =
+    EventStream.fromObjects(objs, windowMillis, drainTail = false).span(_.kind != EventKind.Expired)
+
+  /** A fresh detector by its runtime-table name, fed one event per call. */
+  private def detector(name: String, cfg: SurgeConfig): Event => Unit = name match {
+    case "CCS"   => val a = new CellCspot(cfg, BoundMode.Full); a.onEvent(_)
+    case "B-CCS" => val a = new CellCspot(cfg, BoundMode.StaticOnly); a.onEvent(_)
+    case "Base"  => val a = new CellCspot(cfg, BoundMode.NoBounds); a.onEvent(_)
+    case "aG2"   => val a = new AG2(cfg); a.onEvent(_)
+    case "GAPS"  => val a = new GapSurge(cfg); a.onEvent(_)
+    case "MGAPS" => val a = new MGapSurge(cfg); a.onEvent(_)
   }
 
   /** Table II driver: fraction of rectangle messages that trigger at least
@@ -89,14 +103,10 @@ object Tables {
   def searchRatios(objs: IndexedSeq[SpatialObj], cfg: SurgeConfig): SearchRatios = {
     val ccs  = new CellCspot(cfg, BoundMode.Full)
     val bccs = new CellCspot(cfg, BoundMode.StaticOnly)
-    var warmed = false
-    EventStream.fromObjects(objs, cfg.windowMillis, drainTail = false).foreach { e =>
-      if (!warmed && e.kind == EventKind.Expired) {
-        warmed = true
-        ccs.stats.reset(); bccs.stats.reset()
-      }
-      ccs.onEvent(e); bccs.onEvent(e)
-    }
+    val (warmup, stable) = warmSplit(objs, cfg.windowMillis)
+    warmup.foreach { e => ccs.onEvent(e); bccs.onEvent(e) }
+    ccs.stats.reset(); bccs.stats.reset()
+    stable.foreach { e => ccs.onEvent(e); bccs.onEvent(e) }
     SearchRatios(ccs.stats.searchRatio, bccs.stats.searchRatio, ccs.stats.messages)
   }
 
@@ -112,16 +122,16 @@ object Tables {
     val ccs   = new CellCspot(cfg, BoundMode.Full)
     val gaps  = new GapSurge(cfg)
     val mgaps = new MGapSurge(cfg)
-    var warmed  = false
-    var i       = 0L
-    var nS      = 0
-    var accG    = 0.0
-    var accM    = 0.0
-    EventStream.fromObjects(objs, cfg.windowMillis, drainTail = false).foreach { e =>
-      if (!warmed && e.kind == EventKind.Expired) warmed = true
-      ccs.process(e); gaps.process(e); mgaps.process(e)
-      i += 1
-      if (warmed && i % sampleEvery == 0) {
+    var i     = 0L // counts every event, warm-up included
+    var nS    = 0
+    var accG  = 0.0
+    var accM  = 0.0
+    def step(e: Event): Unit = { ccs.process(e); gaps.process(e); mgaps.process(e); i += 1 }
+    val (warmup, stable) = warmSplit(objs, cfg.windowMillis)
+    warmup.foreach(step)
+    stable.foreach { e =>
+      step(e)
+      if (i % sampleEvery == 0) {
         val exact = ccs.query().map(_.score).getOrElse(0.0)
         if (exact > 1e-9) {
           accG += gaps.top.map(_.score).getOrElse(0.0) / exact
@@ -259,15 +269,7 @@ object Tables {
       cfg   = spec.config(defaultAlpha)
       algo <- algos
     } yield {
-      val run: Event => Unit = algo match {
-        case "CCS"   => val a = new CellCspot(cfg, BoundMode.Full); e => { a.onEvent(e); () }
-        case "B-CCS" => val a = new CellCspot(cfg, BoundMode.StaticOnly); e => { a.onEvent(e); () }
-        case "Base"  => val a = new CellCspot(cfg, BoundMode.NoBounds); e => { a.onEvent(e); () }
-        case "aG2"   => val a = new AG2(cfg); e => { a.onEvent(e); () }
-        case "GAPS"  => val a = new GapSurge(cfg); e => { a.onEvent(e); () }
-        case "MGAPS" => val a = new MGapSurge(cfg); e => { a.onEvent(e); () }
-      }
-      val (_, ns) = timePerMessage(objs, cfg.windowMillis)(run)
+      val (_, ns) = timePerMessage(objs, cfg.windowMillis)(detector(algo, cfg))
       RuntimeRow(spec.name, algo, ns)
     }
 
@@ -306,11 +308,8 @@ object Tables {
     } yield {
       val objs = SpatialStreams.generate(spec, n, rateMultiplier = mult)
       val cfg  = spec.config(defaultAlpha)
-      val run: Event => Unit = algo match {
-        case "CCS"  => val a = new CellCspot(cfg, BoundMode.Full); e => { a.onEvent(e); () }
-        case "GAPS" => val a = new GapSurge(cfg); e => { a.onEvent(e); () }
-      }
-      val t0 = System.nanoTime()
+      val run  = detector(algo, cfg)
+      val t0   = System.nanoTime()
       EventStream.fromObjects(objs, cfg.windowMillis, drainTail = false).foreach(run)
       val secs  = (System.nanoTime() - t0) / 1e9
       val hours = (objs.last.t - objs.head.t) / 3600000.0

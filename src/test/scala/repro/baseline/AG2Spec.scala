@@ -47,6 +47,19 @@ class AG2Spec extends AnyFunSuite {
     }
   }
 
+  test("aG2 counts the same stats through process+query as through onEvent") {
+    val cfg   = TestGen.cfg(windowMillis = 1200L, alpha = 0.5)
+    val whole = new AG2(cfg)
+    val split = new AG2(cfg)
+    EventStream.fromObjects(TestGen.clusteredStream(4, 60), cfg.windowMillis).foreach { e =>
+      whole.onEvent(e)
+      split.process(e); split.query()
+    }
+    def counts(s: CspotStats) = (s.messages, s.messagesWithSearch, s.searches, s.sweptRects)
+    assert(whole.stats.searches > 0)
+    assert(counts(split.stats) == counts(whole.stats))
+  }
+
   test("graph edges drain to zero when the stream expires") {
     val cfg  = TestGen.cfg(windowMillis = 100L)
     val algo = new AG2(cfg)

@@ -99,7 +99,9 @@ class CellCspotSpec extends AnyFunSuite {
       EventStream.fromObjects(TestGen.clusteredStream(4, 60), cfg.windowMillis).foreach { e =>
         whole.onEvent(e)
         val before = split.stats.searches
-        split.process(e); split.query()
+        split.process(e)
+        assert(split.stats.searches == before, s"$mode searched inside process")
+        split.query()
         if (split.stats.searches > before) searching += 1
       }
       def counts(s: CspotStats) = (s.messages, s.messagesWithSearch, s.searches, s.sweptRects)

@@ -64,8 +64,9 @@ class TablesSpec extends AnyFunSuite {
   }
 
   test("runtimeTable measures every algorithm on every dataset") {
-    val rows = Tables.runtimeTable(600, algos = Seq("CCS", "GAPS", "MGAPS"))
-    assert(rows.length == 9)
+    val rows = Tables.runtimeTable(600)
+    assert(rows.length == 18)
+    assert(rows.map(_.algo).toSet == Set("CCS", "B-CCS", "Base", "aG2", "GAPS", "MGAPS"))
     rows.foreach(r => assert(r.nsPerMsg > 0))
   }
 
