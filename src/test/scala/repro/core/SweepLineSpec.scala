@@ -91,6 +91,53 @@ class SweepLineSpec extends AnyFunSuite {
       }
     }
 
+  // Bench searches sweep 100–200 rects (up to ~800 candidate xs); the random
+  // snapshots above stay under 256.
+  for (n <- Seq(120, 200); alpha <- Seq(0.0, 0.5, 0.9))
+    test(s"matches brute force at bench density, $n rects, alpha $alpha") {
+      val rng = new Random(7 * n)
+      val cfg = TestGen.cfg(windowMillis = W, alpha = alpha,
+                            rectW = 0.3 + 0.4 * rng.nextDouble(), rectH = 0.3 + 0.4 * rng.nextDouble())
+      val now  = 20000L
+      val objs = TestGen.snapshot(n, 2 * n, now, W, ext = 1.0)
+        .filter(o => Win.of(o.t, now, W) != Win.Out).take(n)
+      val r = SweepLine.burstyPoint(objs, big, now, cfg)
+      assert(r.rectCount == n)
+      val s = r.point.get
+      val b = BruteForce.burstyPoint(objs, now, cfg).get
+      assert(math.abs(s.score - b.score) < 1e-9, s"sweep=${s.score} brute=${b.score}")
+      val check = BruteForce.scoreAt(objs, now, cfg, s.x, s.y)
+      assert(math.abs(check.fc - s.fc) < 1e-9 && math.abs(check.fp - s.fp) < 1e-9)
+    }
+
+  /** Sorted distinct values plus the midpoint of each consecutive pair. */
+  private def candidates(edges: Seq[Double]): Seq[Double] = {
+    val e = edges.distinct.sorted
+    e ++ e.sliding(2).collect { case Seq(a, b) => (a + b) / 2 }
+  }
+
+  // Integer weights with |W| = 1 h and alpha in {0, 0.5} keep every sum and
+  // score exact, so ties between candidates are real ties. Continuous
+  // detectors' search counts depend on which maximiser the sweep reports.
+  for (seed <- 0 until 20; alpha <- Seq(0.0, 0.5))
+    test(s"reports the topmost, then leftmost, maximiser on tied snapshots, seed $seed, alpha $alpha") {
+      val hour = 3600000L
+      val cfg  = TestGen.cfg(windowMillis = hour, alpha = alpha)
+      val now  = 10 * hour
+      val rng  = new Random(seed)
+      val objs = (0 until 40).map { i =>
+        SpatialObj(i.toLong, 1.0 + rng.nextInt(3), rng.nextInt(9) / 2.0, rng.nextInt(9) / 2.0,
+                   now - rng.nextInt(5) * hour / 2)
+      }
+      val live = objs.filter(o => Win.of(o.t, now, hour) != Win.Out)
+      val xs   = candidates(live.flatMap(o => Seq(o.x, o.x + cfg.rectW)))
+      val ys   = candidates(live.flatMap(o => Seq(o.y, o.y + cfg.rectH)))
+      val all  = for (y <- ys; x <- xs) yield BruteForce.scoreAt(live, now, cfg, x, y)
+      val top  = all.map(_.score).max
+      val want = all.filter(_.score == top).minBy(p => (-p.y, p.x))
+      assert(SweepLine.burstyPoint(objs, big, now, cfg).point.contains(want))
+    }
+
   test("rectCount reports only live rects intersecting the box") {
     val cfg  = TestGen.cfg(windowMillis = 1000L)
     val now  = 10000L
