@@ -1,6 +1,6 @@
 package repro.baseline
 
-import scala.collection.mutable
+import scala.collection.{mutable, View}
 import repro.core._
 
 /** Modified aG2 (Amagata & Hara, EDBT 2016), adapted to the SURGE burst
@@ -25,7 +25,7 @@ final class AG2(val cfg: SurgeConfig) {
   private val grid  = new Grid(cfg.rectW * cellFactor, cfg.rectH * cellFactor)
   private val cells = mutable.HashMap.empty[(Long, Long), mutable.LinkedHashMap[Long, SpatialObj]]
   private val nodes = mutable.HashMap.empty[Long, Node]
-  private val heap  = new LazyMaxHeap[Long]
+  private val heap  = new MaxHeap[Node]
 
   val stats = new CspotStats
 
@@ -38,7 +38,7 @@ final class AG2(val cfg: SurgeConfig) {
   /** One live rect of the graph: its overlapping neighbours, its bound (the
     * current-window weight of itself and its neighbours) and its candidate.
     */
-  private final class Node(val o: SpatialObj) extends SearchRegion {
+  private final class Node(val o: SpatialObj) extends SearchRegion(o.id, 0L) {
     val nbrs = mutable.HashSet.empty[Long]
     var ub: Double = 0.0
     var cand: BurstyPoint = _
@@ -47,7 +47,8 @@ final class AG2(val cfg: SurgeConfig) {
     def bound: Double = ub
 
     def search(): Unit = {
-      val group = (nbrs.iterator.map(nodes(_).o) ++ Iterator.single(o)).toIndexedSeq
+      // A view that knows its size, so the sweep sizes its arrays without a pass.
+      val group = new View.Map(nbrs, (id: Long) => nodes(id).o) ++ new View.Single(o)
       val res   = SweepLine.burstyPoint(group, cfg.rectBox(o), cfg, winOf)
       stats.search(res.rectCount)
       cand = res.point.getOrElse(BurstyPoint(o.x, o.y, 0.0, 0.0, 0.0))
@@ -90,12 +91,11 @@ final class AG2(val cfg: SurgeConfig) {
       keys.foreach(key => cells.getOrElseUpdate(key, mutable.LinkedHashMap.empty).update(o.id, o))
       nodes(o.id) = n
     }
-    // A node whose bound did not move keeps its heap entry.
     val self = nodes(o.id)
     (self.nbrs.iterator.map(nodes) ++ Iterator.single(self)).foreach { n =>
       n.ub += dc
       n.candValid = false
-      if (dc != 0) heap.update(n.o.id, n.ub)
+      heap.update(n, n.ub)
     }
     if (dc + dp < 0) {
       self.nbrs.foreach(nid => nodes(nid).nbrs -= o.id)
@@ -106,7 +106,7 @@ final class AG2(val cfg: SurgeConfig) {
         }
       }
       nodes.remove(o.id)
-      heap.remove(o.id)
+      heap.remove(self)
     }
   }
 
@@ -114,5 +114,5 @@ final class AG2(val cfg: SurgeConfig) {
     * inside some live rectangle, so the max over per-rect searches is the
     * global bursty point.
     */
-  def query(): Option[BurstyPoint] = SearchRegion.best(heap, nodes)
+  def query(): Option[BurstyPoint] = SearchRegion.best(heap)
 }

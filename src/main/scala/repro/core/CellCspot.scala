@@ -43,7 +43,7 @@ final class CspotStats {
 /** A region of Algorithm 2's lazy search: an upper bound on the burst score
   * of any point in it, and a candidate point that `search` makes valid.
   */
-private[repro] trait SearchRegion {
+private[repro] abstract class SearchRegion(keyHi: Long, keyLo: Long) extends HeapEntry(keyHi, keyLo) {
   def bound: Double
   def cand: BurstyPoint
   def candValid: Boolean
@@ -53,33 +53,25 @@ private[repro] trait SearchRegion {
 private[repro] object SearchRegion {
 
   /** The lazy-update search of Section IV-C1: walk regions by descending
-    * bound, re-search each invalid one and re-push it at its new bound, and
+    * bound, re-search each invalid one and re-queue it at its new bound, and
     * stop as soon as no bound exceeds the best valid candidate. Popped
-    * regions are pushed back, so the call is idempotent.
+    * regions are put back, so the call is idempotent.
     */
-  def best[K](heap: LazyMaxHeap[K], region: K => SearchRegion): Option[BurstyPoint] = {
+  def best[R <: SearchRegion](heap: MaxHeap[R]): Option[BurstyPoint] = {
     var best: BurstyPoint = null
-    val stash = ArrayBuffer.empty[K]
-    var done  = false
-    while (!done) {
-      heap.peekMax match {
-        case None => done = true
-        case Some((k, u)) =>
-          if (best != null && u <= best.score + 1e-9) done = true
-          else {
-            val r = region(k)
-            if (!r.candValid) {
-              r.search()
-              heap.update(k, r.bound)
-            } else {
-              if (best == null || r.cand.score > best.score) best = r.cand
-              heap.popMax
-              stash += k
-            }
-          }
+    val stash = ArrayBuffer.empty[R]
+    var r     = heap.top
+    while (r != null && (best == null || r.prio > best.score + 1e-9)) {
+      if (!r.candValid) {
+        r.search()
+        heap.update(r, r.bound)
+      } else {
+        if (best == null || r.cand.score > best.score) best = r.cand
+        stash += heap.pop()
       }
+      r = heap.top
     }
-    stash.foreach(k => heap.update(k, region(k).bound))
+    stash.foreach(r => heap.update(r, r.bound))
     Option(best)
   }
 }
@@ -94,7 +86,7 @@ private[repro] object SearchRegion {
   *  - a candidate point (the last SL-CSPOT result) whose per-window scores
   *    are tracked incrementally and whose validity follows Lemma 4.
   *
-  * A lazy max-heap orders cells by `U(c) = min(U_s, U_d)`. An event updates
+  * A [[MaxHeap]] orders cells by `U(c) = min(U_s, U_d)`. An event updates
   * the ≤4 affected cells in O(1) each; a query walks cells in descending
   * bound order, re-sweeping only cells whose candidate is invalid, and stops
   * as soon as no bound exceeds the best candidate score found — the lazy
@@ -107,7 +99,7 @@ private[repro] object SearchRegion {
 final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full) {
   private val grid  = new Grid(cfg.rectW, cfg.rectH)
   private val cells = mutable.HashMap.empty[(Long, Long), Cell]
-  private val heap  = new LazyMaxHeap[(Long, Long)]
+  private val heap  = new MaxHeap[Cell]
 
   // Window membership is *event-driven*: a rect is Past from the update that
   // adds its weight to `W_p` until the one that takes it out (`update`).
@@ -120,7 +112,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
 
   val stats = new CspotStats
 
-  private final class Cell(val key: (Long, Long)) extends SearchRegion {
+  private final class Cell(val key: (Long, Long)) extends SearchRegion(key._1, key._2) {
     val rects = mutable.LinkedHashMap.empty[Long, SpatialObj]
     var us: Double = 0.0
     var ud: Double = Double.PositiveInfinity
@@ -220,8 +212,8 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
         }
         if (c.rects.isEmpty) {
           cells.remove(key)
-          heap.remove(key)
-        } else heap.update(key, c.bound)
+          heap.remove(c)
+        } else heap.update(c, c.bound)
       }
     }
   }
@@ -229,5 +221,5 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
   /** Current bursty point (the lazy-update search loop of Algorithm 2).
     * Idempotent; may be called as often or as rarely as the caller likes.
     */
-  def query(): Option[BurstyPoint] = SearchRegion.best(heap, cells)
+  def query(): Option[BurstyPoint] = SearchRegion.best(heap)
 }

@@ -10,7 +10,7 @@ final case class CellResult(key: (Long, Long), box: Box, fc: Double, fp: Double,
   *
   * The space is divided into `b×a` cells anchored at `(offX, offY)`; every
   * cell is a candidate region. Events update the containing cell's
-  * per-window scores in O(1); a lazy max-heap reports the cell with the
+  * per-window scores in O(1); a [[MaxHeap]] reports the cell with the
   * maximum burst score in `O(log n)`. Approximation ratio `(1−α)/4`
   * (Theorem 3; the ratio is tight by Lemma 7).
   *
@@ -21,9 +21,9 @@ final case class CellResult(key: (Long, Long), box: Box, fc: Double, fp: Double,
 final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Double = 0.0) {
   private val grid  = new Grid(cfg.rectW, cfg.rectH, offX, offY)
   private val cells = mutable.HashMap.empty[(Long, Long), CState]
-  private val heap  = new LazyMaxHeap[(Long, Long)]
+  private val heap  = new MaxHeap[CState]
 
-  private final class CState {
+  private final class CState(val key: (Long, Long)) extends HeapEntry(key._1, key._2) {
     var fc: Double = 0.0
     var fp: Double = 0.0
     var live: Int  = 0 // objects of this cell still inside W_c ∪ W_p
@@ -36,36 +36,31 @@ final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Dou
     val o   = e.obj
     val d   = cfg.delta(o.w)
     val key = grid.cellOf(o.x, o.y)
-    val c   = cells.getOrElseUpdate(key, new CState)
+    val c   = cells.getOrElseUpdate(key, new CState(key))
     c.fc += e.kind.dCur * d
     c.fp += e.kind.dPast * d
     c.live += e.kind.dCur + e.kind.dPast
-    if (c.live == 0) { cells.remove(key); heap.remove(key) }
-    else heap.update(key, cfg.burst(c.fc, c.fp))
+    if (c.live == 0) { cells.remove(key); heap.remove(c) }
+    else heap.update(c, cfg.burst(c.fc, c.fp))
   }
 
   def onEvent(e: Event): Option[CellResult] = { process(e); top }
 
   /** The cell with the maximum burst score (line 6 of Algorithm 3). */
-  def top: Option[CellResult] =
-    heap.peekMax.map { case (k, _) => result(k) }
+  def top: Option[CellResult] = Option(heap.top).map(result)
 
   /** Top-k cells by burst score (GAP-KSURGE, Algorithm 6). Cells of a single
     * grid are disjoint, so the top-k list is non-overlapping by construction.
     */
   def topK(k: Int): IndexedSeq[CellResult] = {
-    val popped = ArrayBuffer.empty[((Long, Long), Double)]
-    while (popped.length < k && heap.peekMax.isDefined)
-      heap.popMax.foreach(popped += _)
-    // restore
-    popped.foreach { case (key, p) => heap.update(key, p) }
-    popped.iterator.map { case (key, _) => result(key) }.toIndexedSeq
+    val popped = ArrayBuffer.empty[CState]
+    while (popped.length < k && heap.top != null) popped += heap.pop()
+    popped.foreach(c => heap.update(c, c.prio))
+    popped.iterator.map(result).toIndexedSeq
   }
 
-  private def result(k: (Long, Long)): CellResult = {
-    val c = cells(k)
-    CellResult(k, grid.cellBox(k), c.fc, c.fp, cfg.burst(c.fc, c.fp))
-  }
+  private def result(c: CState): CellResult =
+    CellResult(c.key, grid.cellBox(c.key), c.fc, c.fp, cfg.burst(c.fc, c.fp))
 }
 
 /** MGAP-SURGE (Algorithm 5): four half-cell-shifted grids —

@@ -85,14 +85,19 @@ object Tables {
   private def warmSplit(objs: IndexedSeq[SpatialObj], windowMillis: Long): (Iterator[Event], Iterator[Event]) =
     EventStream.fromObjects(objs, windowMillis, drainTail = false).span(_.kind != EventKind.Expired)
 
-  /** A fresh detector by its runtime-table name, fed one event per call. */
-  private def detector(name: String, cfg: SurgeConfig): Event => Unit = name match {
-    case "CCS"   => val a = new CellCspot(cfg, BoundMode.Full); a.onEvent(_)
-    case "B-CCS" => val a = new CellCspot(cfg, BoundMode.StaticOnly); a.onEvent(_)
-    case "Base"  => val a = new CellCspot(cfg, BoundMode.NoBounds); a.onEvent(_)
-    case "aG2"   => val a = new AG2(cfg); a.onEvent(_)
-    case "GAPS"  => val a = new GapSurge(cfg); a.onEvent(_)
-    case "MGAPS" => val a = new MGapSurge(cfg); a.onEvent(_)
+  /** A fresh detector by its table name, fed one event per call; the top-k
+    * detectors report `k` regions per event.
+    */
+  private def detector(name: String, cfg: SurgeConfig, k: Int = 1): Event => Unit = name match {
+    case "CCS"    => val a = new CellCspot(cfg, BoundMode.Full); a.onEvent(_)
+    case "B-CCS"  => val a = new CellCspot(cfg, BoundMode.StaticOnly); a.onEvent(_)
+    case "Base"   => val a = new CellCspot(cfg, BoundMode.NoBounds); a.onEvent(_)
+    case "aG2"    => val a = new AG2(cfg); a.onEvent(_)
+    case "GAPS"   => val a = new GapSurge(cfg); a.onEvent(_)
+    case "MGAPS"  => val a = new MGapSurge(cfg); a.onEvent(_)
+    case "kCCS"   => val a = new KCellCspot(cfg, k); a.onEvent(_)
+    case "kGAPS"  => val a = new GapSurge(cfg); e => { a.process(e); a.topK(k); () }
+    case "kMGAPS" => val a = new MGapSurge(cfg); e => { a.process(e); a.topK(k); () }
   }
 
   /** Table II driver: fraction of rectangle messages that trigger at least
@@ -285,12 +290,7 @@ object Tables {
       k    <- ks
       algo <- Seq("kCCS", "kGAPS", "kMGAPS")
     } yield {
-      val run: Event => Unit = algo match {
-        case "kCCS"   => val a = new KCellCspot(cfg, k); e => { a.onEvent(e); () }
-        case "kGAPS"  => val a = new GapSurge(cfg); e => { a.process(e); a.topK(k); () }
-        case "kMGAPS" => val a = new MGapSurge(cfg); e => { a.process(e); a.topK(k); () }
-      }
-      val (_, ns) = timePerMessage(objs, cfg.windowMillis)(run)
+      val (_, ns) = timePerMessage(objs, cfg.windowMillis)(detector(algo, cfg, k))
       TopKRow(spec.name, k, algo, ns)
     }
 

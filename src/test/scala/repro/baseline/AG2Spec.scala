@@ -60,6 +60,18 @@ class AG2Spec extends AnyFunSuite {
     assert(counts(split.stats) == counts(whole.stats))
   }
 
+  test("aG2: a second query() makes no search and returns the same point") {
+    val cfg  = TestGen.cfg(windowMillis = 3 * TestGen.TiedStep, alpha = 0.5)
+    val algo = new AG2(cfg)
+    EventStream.fromObjects(TestGen.tiedStream(1, 60), cfg.windowMillis).foreach { e =>
+      val first  = algo.onEvent(e)
+      val before = algo.stats.searches
+      assert(algo.query() == first, s"at ${e.kind}@${e.at}")
+      assert(algo.stats.searches == before, s"searched again at ${e.kind}@${e.at}")
+    }
+    assert(algo.stats.searches > 0)
+  }
+
   test("graph edges drain to zero when the stream expires") {
     val cfg  = TestGen.cfg(windowMillis = 100L)
     val algo = new AG2(cfg)

@@ -110,6 +110,19 @@ class CellCspotSpec extends AnyFunSuite {
       assert(counts(split.stats) == counts(whole.stats))
     }
 
+  for (mode <- Seq(BoundMode.Full, BoundMode.StaticOnly, BoundMode.NoBounds))
+    test(s"$mode: a second query() makes no search and returns the same point") {
+      val cfg  = TestGen.cfg(windowMillis = 3 * TestGen.TiedStep, alpha = 0.5)
+      val algo = new CellCspot(cfg, mode)
+      EventStream.fromObjects(TestGen.tiedStream(1, 60), cfg.windowMillis).foreach { e =>
+        val first  = algo.onEvent(e)
+        val before = algo.stats.searches
+        assert(algo.query() == first, s"$mode at ${e.kind}@${e.at}")
+        assert(algo.stats.searches == before, s"$mode searched again at ${e.kind}@${e.at}")
+      }
+      assert(algo.stats.searches > 0)
+    }
+
   test("empty structure reports no bursty point and survives queries") {
     val algo = new CellCspot(TestGen.cfg(), BoundMode.Full)
     assert(algo.query().isEmpty)

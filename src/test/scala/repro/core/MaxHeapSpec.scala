@@ -1,0 +1,112 @@
+package repro.core
+
+import java.util.Random
+import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
+
+class MaxHeapSpec extends AnyFunSuite {
+
+  private final class E(hi: Long, lo: Long = 0L) extends HeapEntry(hi, lo)
+
+  private def filled(ps: (Long, Double)*): (MaxHeap[E], Map[Long, E]) = {
+    val h  = new MaxHeap[E]
+    val es = ps.map { case (k, p) => val e = new E(k); h.update(e, p); k -> e }.toMap
+    (h, es)
+  }
+
+  test("top on an empty heap is null") {
+    val h = new MaxHeap[E]
+    assert(h.top == null && h.pop() == null && h.size == 0)
+  }
+
+  test("update then top returns the max") {
+    val (h, es) = filled(1L -> 1.0, 2L -> 5.0, 3L -> 3.0)
+    assert(h.top eq es(2L))
+    assert(h.top.prio == 5.0)
+  }
+
+  test("updating a priority downward is observed") {
+    val (h, es) = filled(1L -> 5.0, 2L -> 3.0)
+    h.update(es(1L), 1.0)
+    assert(h.top eq es(2L))
+  }
+
+  test("remove drops an entry") {
+    val (h, es) = filled(1L -> 5.0, 2L -> 3.0)
+    h.remove(es(1L))
+    assert(h.top eq es(2L))
+    h.remove(es(1L)) // not in the heap: no-op
+    h.remove(es(2L))
+    assert(h.top == null && h.size == 0)
+  }
+
+  test("pop removes and returns the max; re-update restores") {
+    val (h, es) = filled(1L -> 5.0, 2L -> 3.0)
+    assert(h.pop() eq es(1L))
+    assert(h.top eq es(2L))
+    h.update(es(1L), 5.0)
+    assert(h.top eq es(1L))
+    assert(h.size == 2)
+  }
+
+  test("re-updating an entry at its priority keeps one entry") {
+    val (h, es) = filled(1L -> 5.0, 2L -> 5.0)
+    (1 to 3).foreach(_ => h.update(es(2L), 5.0))
+    assert(h.size == 2)
+    assert(h.pop() eq es(1L))
+    assert(h.pop() eq es(2L))
+    assert(h.pop() == null)
+  }
+
+  test("equal priorities pop in key order whatever the push order") {
+    val rng  = new Random(7)
+    val keys = for (hi <- 0L until 4L; lo <- 0L until 4L) yield (hi, lo)
+    (0 until 20).foreach { _ =>
+      val h = new MaxHeap[E]
+      val order = keys.toArray
+      for (i <- order.indices.reverse) {
+        val j = rng.nextInt(i + 1); val t = order(i); order(i) = order(j); order(j) = t
+      }
+      order.foreach { case (hi, lo) =>
+        val e = new E(hi, lo)
+        h.update(e, rng.nextDouble()) // pushed once at a random priority,
+        h.update(e, 1.0)              // then moved to the shared one
+      }
+      val popped = Iterator.continually(h.pop()).takeWhile(_ != null).map(e => (e.keyHi, e.keyLo)).toList
+      assert(popped == keys.toList)
+    }
+  }
+
+  for (seed <- 0 until 20)
+    test(s"randomized equivalence with a reference map, seed $seed") {
+      val rng = new Random(seed)
+      val h   = new MaxHeap[E]
+      val es  = (0L until 50L).map(new E(_))
+      val ref = mutable.HashMap.empty[Long, Double]
+      (1 to 2000).foreach { _ =>
+        rng.nextInt(5) match {
+          case 0 | 1 =>
+            val k = rng.nextInt(50); val p = rng.nextInt(1000) / 10.0
+            h.update(es(k), p); ref(k.toLong) = p
+          case 2 =>
+            val k = rng.nextInt(50)
+            h.remove(es(k)); ref.remove(k.toLong)
+          case 3 =>
+            if (ref.isEmpty) assert(h.top == null)
+            else {
+              val max = ref.values.max
+              assert(h.top.prio == max)
+              assert(h.top.keyHi == ref.collect { case (k, p) if p == max => k }.min)
+            }
+          case 4 =>
+            val e = h.pop()
+            if (ref.isEmpty) assert(e == null)
+            else {
+              assert(ref(e.keyHi) == e.prio && e.prio == ref.values.max)
+              ref.remove(e.keyHi)
+            }
+        }
+      }
+      assert(h.size == ref.size)
+    }
+}
