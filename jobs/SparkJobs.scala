@@ -10,7 +10,7 @@ import repro.spark.{GridBurstBatch, SnapshotSurgeSpark, StreamingSurge}
   */
 object SnapshotSurgeJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("snapshot-surge").getOrCreate()
+    val spark = SparkSession.builder().appName("snapshot-surge").getOrCreate()
     val n    = args.headOption.map(_.toInt).getOrElse(50000)
     val spec = SpatialStreams.US
     val objs = SpatialStreams.generate(spec, n)
@@ -31,7 +31,7 @@ object SnapshotSurgeJob {
   */
 object StreamingSurgeJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("streaming-surge").getOrCreate()
+    val spark = SparkSession.builder().appName("streaming-surge").getOrCreate()
     val runSecs = args.headOption.map(_.toInt).getOrElse(15)
     val spec = SpatialStreams.Taxi
     val cfg  = spec.config().withWindowMillis(5000L)

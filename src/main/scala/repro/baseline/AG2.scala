@@ -23,8 +23,8 @@ final class AG2(val cfg: SurgeConfig) {
   // Cell side as a multiple of the query rectangle: Appendix J's `10q`.
   private val cellFactor = 10.0
   private val grid  = new Grid(cfg.rectW * cellFactor, cfg.rectH * cellFactor)
-  private val cells = mutable.HashMap.empty[(Long, Long), mutable.LinkedHashMap[Long, SpatialObj]]
-  private val nodes = mutable.HashMap.empty[Long, Node]
+  private val cells = mutable.LongMap.empty[mutable.LinkedHashMap[Long, SpatialObj]]
+  private val nodes = mutable.LongMap.empty[Node]
   private val heap  = new MaxHeap[Node]
 
   val stats = new CspotStats
@@ -38,7 +38,7 @@ final class AG2(val cfg: SurgeConfig) {
   /** One live rect of the graph: its overlapping neighbours, its bound (the
     * current-window weight of itself and its neighbours) and its candidate.
     */
-  private final class Node(val o: SpatialObj) extends SearchRegion(o.id, 0L) {
+  private final class Node(val o: SpatialObj) extends SearchRegion(o.id) {
     val nbrs = mutable.HashSet.empty[Long]
     var ub: Double = 0.0
     var cand: BurstyPoint = _
@@ -75,20 +75,19 @@ final class AG2(val cfg: SurgeConfig) {
     if (dp > 0) pastIds += o.id
     else if (dp < 0) pastIds -= o.id
     if (dc + dp > 0) {
-      // Build the overlap edges through the cell lists.
-      val n    = new Node(o)
-      val keys = grid.cellsOverlapping(box)
-      keys.foreach { key =>
-        cells.get(key).foreach(_.valuesIterator.foreach { m =>
-          if (cfg.rectBox(m).intersectsClosed(box)) n.nbrs += m.id
-        })
+      // Build the overlap edges through the cell lists, scanning each cell
+      // before `o` joins it.
+      val n = new Node(o)
+      grid.foreachCell(box) { key =>
+        val cl = cells.getOrElseUpdate(key, mutable.LinkedHashMap.empty)
+        cl.valuesIterator.foreach(m => if (cfg.rectBox(m).intersectsClosed(box)) n.nbrs += m.id)
+        cl(o.id) = o
       }
       n.nbrs.foreach { nid =>
         val m = nodes(nid)
         m.nbrs += o.id
         if (!pastIds.contains(nid)) n.ub += cfg.delta(m.o.w)
       }
-      keys.foreach(key => cells.getOrElseUpdate(key, mutable.LinkedHashMap.empty).update(o.id, o))
       nodes(o.id) = n
     }
     val self = nodes(o.id)
@@ -99,11 +98,10 @@ final class AG2(val cfg: SurgeConfig) {
     }
     if (dc + dp < 0) {
       self.nbrs.foreach(nid => nodes(nid).nbrs -= o.id)
-      grid.cellsOverlapping(box).foreach { key =>
-        cells.get(key).foreach { cl =>
-          cl.remove(o.id)
-          if (cl.isEmpty) cells.remove(key)
-        }
+      grid.foreachCell(box) { key =>
+        val cl = cells(key)
+        cl.remove(o.id)
+        if (cl.isEmpty) cells.remove(key)
       }
       nodes.remove(o.id)
       heap.remove(self)

@@ -43,7 +43,7 @@ final class CspotStats {
 /** A region of Algorithm 2's lazy search: an upper bound on the burst score
   * of any point in it, and a candidate point that `search` makes valid.
   */
-private[repro] abstract class SearchRegion(keyHi: Long, keyLo: Long) extends HeapEntry(keyHi, keyLo) {
+private[repro] abstract class SearchRegion(key: Long) extends HeapEntry(key) {
   def bound: Double
   def cand: BurstyPoint
   def candValid: Boolean
@@ -98,7 +98,7 @@ private[repro] object SearchRegion {
   */
 final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full) {
   private val grid  = new Grid(cfg.rectW, cfg.rectH)
-  private val cells = mutable.HashMap.empty[(Long, Long), Cell]
+  private val cells = mutable.LongMap.empty[Cell]
   private val heap  = new MaxHeap[Cell]
 
   // Window membership is *event-driven*: a rect is Past from the update that
@@ -112,7 +112,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
 
   val stats = new CspotStats
 
-  private final class Cell(val key: (Long, Long)) extends SearchRegion(key._1, key._2) {
+  private final class Cell(key: Long) extends SearchRegion(key) {
     val rects = mutable.LinkedHashMap.empty[Long, SpatialObj]
     var us: Double = 0.0
     var ud: Double = Double.PositiveInfinity
@@ -190,10 +190,10 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     val rises = dc > 0 || dp < 0
     if (dp > 0) pastIds += o.id
     else if (dp < 0) pastIds -= o.id
-    grid.cellsOverlapping(obox).foreach { key =>
+    grid.foreachCell(obox) { key =>
       val c =
         if (size > 0) cells.getOrElseUpdate(key, new Cell(key))
-        else cells.getOrElse(key, null)
+        else cells.getOrNull(key)
       if (c != null) {
         if (size > 0) c.rects.update(o.id, o)
         else if (size < 0) c.rects.remove(o.id)

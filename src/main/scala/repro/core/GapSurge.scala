@@ -4,7 +4,7 @@ import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** One grid cell reported as an approximate bursty region. */
-final case class CellResult(key: (Long, Long), box: Box, fc: Double, fp: Double, score: Double)
+final case class CellResult(box: Box, fc: Double, fp: Double, score: Double)
 
 /** GAP-SURGE (Algorithm 3): grid-based approximate SURGE.
   *
@@ -20,10 +20,10 @@ final case class CellResult(key: (Long, Long), box: Box, fc: Double, fp: Double,
   */
 final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Double = 0.0) {
   private val grid  = new Grid(cfg.rectW, cfg.rectH, offX, offY)
-  private val cells = mutable.HashMap.empty[(Long, Long), CState]
+  private val cells = mutable.LongMap.empty[CState]
   private val heap  = new MaxHeap[CState]
 
-  private final class CState(val key: (Long, Long)) extends HeapEntry(key._1, key._2) {
+  private final class CState(key: Long) extends HeapEntry(key) {
     var fc: Double = 0.0
     var fp: Double = 0.0
     var live: Int  = 0 // objects of this cell still inside W_c ∪ W_p
@@ -60,7 +60,7 @@ final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Dou
   }
 
   private def result(c: CState): CellResult =
-    CellResult(c.key, grid.cellBox(c.key), c.fc, c.fp, cfg.burst(c.fc, c.fp))
+    CellResult(grid.cellBox(c.key), c.fc, c.fp, cfg.burst(c.fc, c.fp))
 }
 
 /** MGAP-SURGE (Algorithm 5): four half-cell-shifted grids —

@@ -1,9 +1,9 @@
 package repro.core
 
 /** An element of a [[MaxHeap]]. It carries its own priority and array slot,
-  * so the heap needs no side map; `(keyHi, keyLo)` breaks priority ties.
+  * so the heap needs no side map; `key` breaks priority ties.
   */
-abstract class HeapEntry(val keyHi: Long, val keyLo: Long) {
+abstract class HeapEntry(val key: Long) {
   private[core] var prio: Double = 0.0
   private[core] var slot: Int = -1
 }
@@ -47,8 +47,7 @@ final class MaxHeap[E <: HeapEntry] {
   def pop(): E = { val e = top; if (e != null) remove(e); e }
 
   private def above(x: HeapEntry, y: HeapEntry): Boolean =
-    x.prio > y.prio || x.prio == y.prio &&
-      (x.keyHi < y.keyHi || x.keyHi == y.keyHi && x.keyLo < y.keyLo)
+    x.prio > y.prio || x.prio == y.prio && x.key < y.key
 
   private def place(e: HeapEntry, i: Int): Unit = { a(i) = e; e.slot = i }
 

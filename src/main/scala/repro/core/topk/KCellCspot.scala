@@ -15,8 +15,8 @@ import repro.core._
   * computation-sharing scheme of Section VI-B:
   *  - a rect that starts covering `p[i]` is pinned to level i and removed
   *    from layers i+1..oldLevel;
-  *  - a rect that stops covering `p[i]` is released to level k and
-  *    re-inserted into layers i+1..k;
+  *  - when `p[i]` moves, a level-i rect that misses the new `p[i]` is
+  *    released to level k and re-inserted into layers i+1..k;
   *  - a cell untouched by any of this keeps its bounds and candidates in
   *    every layer.
   */
@@ -26,11 +26,10 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   // layers(i - 1) holds exactly the live rects of level ≥ i. Layer 0 holds
   // every live rect and sees every event, so it answers window membership.
   private val layers = Array.fill(k)(new CellCspot(cfg, BoundMode.Full))
-  // pinned(i) = {o : lvl(o.id) = i} for 1 ≤ i < k; `setLevel` is the only
-  // method that changes a live rect's level. Level k needs no set: layer k-1
-  // is the last, so covering p[k] and covering nothing look the same.
-  private val lvl    = mutable.HashMap.empty[Long, Int]
-  private val pinned = Array.fill(k)(mutable.LinkedHashMap.empty[Long, SpatialObj])
+  // Every live rect's level; `setLevel` is the only method that changes it.
+  // After step i of an event, the level-i rects are exactly layer i-1's rects
+  // covering p[i], so they are found through that layer's cell index.
+  private val lvl    = mutable.LongMap.empty[Int]
   private val points = Array.fill[Option[BurstyPoint]](k)(None)
 
   /** Total SL-CSPOT invocations across all layers (cost accounting). */
@@ -44,23 +43,24 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     val l = lvl.getOrElseUpdate(o.id, k)
     var j = 0
     while (j < l) { layers(j).process(e); j += 1 }
-    if (e.kind == EventKind.Expired) {
-      lvl.remove(o.id)
-      if (l < k) pinned(l).remove(o.id)
-    }
+    if (e.kind == EventKind.Expired) lvl.remove(o.id)
 
     var i = 1
     while (i <= k) {
-      val p = layers(i - 1).query()
+      val old = points(i - 1)
+      val p   = layers(i - 1).query()
       points(i - 1) = p
       if (i < k) {
-        // Layer i-1 holds every rect of level ≥ i, so a rect pinned at i has
-        // left p[i]'s cover set iff its box no longer contains p[i]. The
-        // releases are copied out because setLevel edits pinned(i); pinning
-        // to i only edits layers i.., so layer i-1 can be iterated lazily.
-        pinned(i).valuesIterator
-          .filterNot(r => p.exists(bp => cfg.rectBox(r).contains(bp.x, bp.y)))
-          .toList.foreach(setLevel(_, k))
+        // Layer i-1 holds every rect of level ≥ i, so the level-i rects are
+        // its rects covering the old p[i], and one leaves p[i]'s cover set
+        // iff its box misses the new p[i]. Releasing and pinning to i edit
+        // only layers i.., so layer i-1 can be iterated lazily.
+        old.foreach { q =>
+          if (!p.exists(bp => bp.x == q.x && bp.y == q.y))
+            layers(i - 1).rectsCovering(q.x, q.y)
+              .filter(r => lvl(r.id) == i && !p.exists(bp => cfg.rectBox(r).contains(bp.x, bp.y)))
+              .foreach(setLevel(_, k))
+        }
         p.foreach { bp =>
           layers(i - 1).rectsCovering(bp.x, bp.y).filter(r => lvl(r.id) > i).foreach(setLevel(_, i))
         }
@@ -78,8 +78,6 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     */
   private def setLevel(o: SpatialObj, to: Int): Unit = {
     val from = lvl(o.id)
-    if (from < k) pinned(from).remove(o.id)
-    if (to < k) pinned(to)(o.id) = o
     lvl(o.id) = to
     val past = layers(0).isPast(o.id)
     var j = math.min(from, to)

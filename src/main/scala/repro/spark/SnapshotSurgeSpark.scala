@@ -1,5 +1,6 @@
 package repro.spark
 
+import scala.collection.mutable.ArrayBuffer
 import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.core._
 
@@ -14,8 +15,8 @@ import repro.core._
   */
 object SnapshotSurgeSpark {
 
-  /** One object keyed by an overlapped cell. */
-  final case class CellObj(cx: Long, cy: Long, id: Long, w: Double, x: Double, y: Double, t: Long)
+  /** One object keyed by an overlapped cell (a [[Grid]] key). */
+  final case class CellObj(key: Long, id: Long, w: Double, x: Double, y: Double, t: Long)
 
   /** Per-cell sweep result. */
   final case class CellBest(cx: Long, cy: Long, x: Double, y: Double,
@@ -31,16 +32,16 @@ object SnapshotSurgeSpark {
       .as[SpatialObj]
       .filter((o: SpatialObj) => Win.of(o.t, now, cfg.windowMillis) != Win.Out)
       .flatMap { o =>
-        grid.cellsOverlapping(cfg.rectBox(o)).map { case (cx, cy) =>
-          CellObj(cx, cy, o.id, o.w, o.x, o.y, o.t)
-        }
+        val out = ArrayBuffer.empty[CellObj]
+        grid.foreachCell(cfg.rectBox(o))(key => out += CellObj(key, o.id, o.w, o.x, o.y, o.t))
+        out
       }
-      .groupByKey(c => (c.cx, c.cy))
-      .mapGroups { (key: (Long, Long), it: Iterator[CellObj]) =>
+      .groupByKey(_.key)
+      .mapGroups { (key: Long, it: Iterator[CellObj]) =>
         val rects = it.map(c => SpatialObj(c.id, c.w, c.x, c.y, c.t)).toIndexedSeq
         val res   = SweepLine.burstyPoint(rects, grid.cellBox(key), now, cfg)
         val p     = res.point.getOrElse(BurstyPoint(0, 0, 0, 0, 0))
-        CellBest(key._1, key._2, p.x, p.y, p.fc, p.fp, p.score, res.rectCount)
+        CellBest(Grid.i(key), Grid.j(key), p.x, p.y, p.fc, p.fp, p.score, res.rectCount)
       }
   }
 

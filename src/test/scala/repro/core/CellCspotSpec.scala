@@ -1,6 +1,11 @@
 package repro.core
 
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration.Duration
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 import repro.{LiveSet, TestGen}
 import repro.stream.EventStream
 
@@ -8,7 +13,7 @@ import repro.stream.EventStream
   * of randomized streams the reported burst score must equal the brute-force
   * snapshot optimum (Section IV-C correctness), in all three bound modes.
   */
-class CellCspotSpec extends AnyFunSuite {
+class CellCspotSpec extends AnyFunSuite with TimeLimits {
 
   private def replay(objs: IndexedSeq[SpatialObj], cfg: SurgeConfig, mode: BoundMode): Unit = {
     val algo = new CellCspot(cfg, mode)
@@ -122,6 +127,16 @@ class CellCspotSpec extends AnyFunSuite {
       }
       assert(algo.stats.searches > 0)
     }
+
+  test("an object past the grid's index range is rejected, not looped over") {
+    implicit val signaler: Signaler = ThreadSignaler
+    val algo = new CellCspot(TestGen.cfg(), BoundMode.Full)
+    // finite, so it passes ingress, but x / b saturates toLong
+    val run = Future(algo.process(Event(SpatialObj(0, 1.0, 1e300, 0.0, 1000L), EventKind.New, 1000L)))
+    failAfter(5.seconds) {
+      assertThrows[IllegalArgumentException](Await.result(run, Duration.Inf))
+    }
+  }
 
   test("empty structure reports no bursty point and survives queries") {
     val algo = new CellCspot(TestGen.cfg(), BoundMode.Full)

@@ -9,10 +9,10 @@ class GapSurgeSpec extends AnyFunSuite {
 
   /** Reference per-cell scores computed from scratch. */
   private def refCellScores(live: Iterable[SpatialObj], now: Long, cfg: SurgeConfig,
-                            offX: Double, offY: Double): Map[(Long, Long), Double] = {
+                            offX: Double, offY: Double): Map[Long, Double] = {
     val grid = new Grid(cfg.rectW, cfg.rectH, offX, offY)
-    val fc = mutable.HashMap.empty[(Long, Long), Double].withDefaultValue(0.0)
-    val fp = mutable.HashMap.empty[(Long, Long), Double].withDefaultValue(0.0)
+    val fc = mutable.LongMap.empty[Double].withDefaultValue(0.0)
+    val fp = mutable.LongMap.empty[Double].withDefaultValue(0.0)
     live.foreach { o =>
       val k = grid.cellOf(o.x, o.y)
       Win.of(o.t, now, cfg.windowMillis) match {

@@ -6,7 +6,7 @@ import scala.collection.mutable
 
 class MaxHeapSpec extends AnyFunSuite {
 
-  private final class E(hi: Long, lo: Long = 0L) extends HeapEntry(hi, lo)
+  private final class E(key: Long) extends HeapEntry(key)
 
   private def filled(ps: (Long, Double)*): (MaxHeap[E], Map[Long, E]) = {
     val h  = new MaxHeap[E]
@@ -60,19 +60,19 @@ class MaxHeapSpec extends AnyFunSuite {
 
   test("equal priorities pop in key order whatever the push order") {
     val rng  = new Random(7)
-    val keys = for (hi <- 0L until 4L; lo <- 0L until 4L) yield (hi, lo)
+    val keys = (-8L until 8L).map(_ << 31) // negative and positive, across the 32-bit halves
     (0 until 20).foreach { _ =>
       val h = new MaxHeap[E]
       val order = keys.toArray
       for (i <- order.indices.reverse) {
         val j = rng.nextInt(i + 1); val t = order(i); order(i) = order(j); order(j) = t
       }
-      order.foreach { case (hi, lo) =>
-        val e = new E(hi, lo)
+      order.foreach { k =>
+        val e = new E(k)
         h.update(e, rng.nextDouble()) // pushed once at a random priority,
         h.update(e, 1.0)              // then moved to the shared one
       }
-      val popped = Iterator.continually(h.pop()).takeWhile(_ != null).map(e => (e.keyHi, e.keyLo)).toList
+      val popped = Iterator.continually(h.pop()).takeWhile(_ != null).map(_.key).toList
       assert(popped == keys.toList)
     }
   }
@@ -96,14 +96,14 @@ class MaxHeapSpec extends AnyFunSuite {
             else {
               val max = ref.values.max
               assert(h.top.prio == max)
-              assert(h.top.keyHi == ref.collect { case (k, p) if p == max => k }.min)
+              assert(h.top.key == ref.collect { case (k, p) if p == max => k }.min)
             }
           case 4 =>
             val e = h.pop()
             if (ref.isEmpty) assert(e == null)
             else {
-              assert(ref(e.keyHi) == e.prio && e.prio == ref.values.max)
-              ref.remove(e.keyHi)
+              assert(ref(e.key) == e.prio && e.prio == ref.values.max)
+              ref.remove(e.key)
             }
         }
       }
