@@ -1,0 +1,105 @@
+package repro.bench
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core._
+import repro.core.topk.KCellCspot
+import repro.data.SpatialStreams
+import repro.exp.Tables
+import repro.stream.EventStream
+
+/** The cost of an SL-CSPOT search inside CCS, and fingerprints of the exact
+  * detectors' answers for comparing two versions of the program.
+  *
+  * Streams are the ones perfbench's `ccs-us` and `kccs5-us` workloads replay
+  * for seed 201: `SpatialStreams.US` with stream seed `201·1000003 + r`, at
+  * 1/4 (CCS) and 1/10 (kCCS) of the paper's rate, four windows of
+  * arrivals each, drained to empty. Every event is `process`ed and then
+  * answered. Run with `sbt "bench/testOnly *SearchCostBench"`.
+  *
+  * Printed per CCS pass over the 12 streams: µs per search (the time of the
+  * `query` calls that searched over the searches they made), `process` ns
+  * per event, the search count and a hash of every event's answer. The
+  * second test prints search counts and answer hashes for B-CCS and Base
+  * (`Tables.streamFor(US, 8000, 1h)`, seeds 201 and 202) and kCCS(5).
+  */
+class SearchCostBench extends AnyFunSuite {
+  import SearchCostBench.Pass
+
+  private val Seed    = 201L
+  private val Streams = 12
+  private val Passes  = 3
+
+  /** A stream of perfbench's stream `r` for seed 201 at `rateFraction` of the paper's rate. */
+  private def stream(rateFraction: Double, r: Int): (SurgeConfig, IndexedSeq[SpatialObj]) = {
+    val spec    = SpatialStreams.US.copy(seed = Seed * 1000003L + r)
+    val cfg     = spec.config(0.5)
+    val objects = math.round(4 * spec.paperRatePerHour * rateFraction * cfg.windowMillis / 3.6e6).toInt
+    (cfg, SpatialStreams.generate(spec, objects, rateFraction * 1e6 / objects))
+  }
+
+  private def mix(h: Long, p: Option[BurstyPoint]): Long = p match {
+    case None    => h * 31
+    case Some(q) =>
+      val bits = Seq(q.x, q.y, q.score).map(java.lang.Double.doubleToLongBits)
+      bits.foldLeft(h)((a, b) => a * 31 + b)
+  }
+
+  private def ccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): Pass = {
+    var searchNs, processNs, events, searches, hash = 0L
+    streams.foreach { case (cfg, objs) =>
+      val ccs = new CellCspot(cfg, BoundMode.Full)
+      EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
+        val t0 = System.nanoTime()
+        ccs.process(e)
+        val t1 = System.nanoTime()
+        val before = ccs.stats.searches
+        val p = ccs.query()
+        val t2 = System.nanoTime()
+        processNs += t1 - t0
+        if (ccs.stats.searches > before) searchNs += t2 - t1
+        events += 1
+        hash = mix(hash, p)
+      }
+      searches += ccs.stats.searches
+    }
+    Pass(searchNs / 1e3 / searches, processNs.toDouble / events, searches, hash)
+  }
+
+  test("SL-CSPOT search cost inside CCS at ccs-us density") {
+    val streams = (0 until Streams).map(stream(0.25, _))
+    ccsPass(streams.take(2)) // warm-up
+    val passes = (1 to Passes).map(_ => ccsPass(streams))
+    println(f"\n=== CCS on $Streams US streams (seed $Seed, ${streams.head._2.size} objects each) ===")
+    passes.zipWithIndex.foreach { case (p, i) =>
+      println(f"pass ${i + 1}: ${p.searchUs}%.1f us/search  ${p.processNs}%.0f ns/process  " +
+              f"${p.searches} searches  hash ${p.hash}%016x")
+    }
+    val med = passes.sortBy(_.searchUs).apply(Passes / 2)
+    println(f"median: ${med.searchUs}%.1f us/search, ${passes.map(_.processNs).sorted.apply(Passes / 2)}%.0f ns/process")
+    assert(passes.map(p => (p.searches, p.hash)).distinct.size == 1, "passes disagree")
+  }
+
+  test("answer fingerprints of B-CCS, Base and kCCS(5)") {
+    println("\n=== Answer fingerprints ===")
+    for (seed <- Seq(201L, 202L); mode <- Seq(BoundMode.StaticOnly, BoundMode.NoBounds)) {
+      val cfg  = SpatialStreams.US.config(0.5)
+      val objs = Tables.streamFor(SpatialStreams.US.copy(seed = seed), 8000, cfg.windowMillis)
+      val det  = new CellCspot(cfg, mode)
+      var hash = 0L
+      EventStream.fromObjects(objs, cfg.windowMillis).foreach(e => hash = mix(hash, det.onEvent(e)))
+      println(f"$mode%-10s seed $seed: ${det.stats.searches} searches  hash $hash%016x")
+    }
+    for (r <- 0 until 2) {
+      val (cfg, objs) = stream(0.1, r)
+      val det  = new KCellCspot(cfg, 5)
+      var hash = 0L
+      EventStream.fromObjects(objs, cfg.windowMillis).foreach(e => hash = det.onEvent(e).foldLeft(hash)(mix))
+      println(f"kCCS(5)    stream $r: ${det.searches} searches  hash $hash%016x")
+    }
+  }
+}
+
+object SearchCostBench {
+  /** One CCS pass over the streams. */
+  final case class Pass(searchUs: Double, processNs: Double, searches: Long, hash: Long)
+}

@@ -26,6 +26,7 @@ final class AG2(val cfg: SurgeConfig) {
   private val cells = mutable.LongMap.empty[mutable.LinkedHashMap[Long, SpatialObj]]
   private val nodes = mutable.LongMap.empty[Node]
   private val heap  = new MaxHeap[Node]
+  private val ws    = new SweepLine.Workspace
 
   val stats = new CspotStats
 
@@ -49,7 +50,7 @@ final class AG2(val cfg: SurgeConfig) {
     def search(): Unit = {
       // A view that knows its size, so the sweep sizes its arrays without a pass.
       val group = new View.Map(nbrs, (id: Long) => nodes(id).o) ++ new View.Single(o)
-      val res   = SweepLine.burstyPoint(group, cfg.rectBox(o), cfg, winOf)
+      val res   = SweepLine.burstyPoint(group, cfg.rectBox(o), cfg, winOf, ws)
       stats.search(res.rectCount)
       cand = res.point.getOrElse(BurstyPoint(o.x, o.y, 0.0, 0.0, 0.0))
       candValid = true

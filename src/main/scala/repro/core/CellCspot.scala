@@ -55,23 +55,26 @@ private[repro] object SearchRegion {
   /** The lazy-update search of Section IV-C1: walk regions by descending
     * bound, re-search each invalid one and re-queue it at its new bound, and
     * stop as soon as no bound exceeds the best valid candidate. Popped
-    * regions are put back, so the call is idempotent.
+    * regions are put back, so the call is idempotent. A valid top that no
+    * bound below it exceeds is the answer at once, with no pop.
     */
   def best[R <: SearchRegion](heap: MaxHeap[R]): Option[BurstyPoint] = {
+    var r = heap.top
+    if (r != null && r.candValid && heap.belowTop <= r.cand.score + 1e-9) return Some(r.cand)
     var best: BurstyPoint = null
-    val stash = ArrayBuffer.empty[R]
-    var r     = heap.top
+    var stash: ArrayBuffer[R] = null
     while (r != null && (best == null || r.prio > best.score + 1e-9)) {
       if (!r.candValid) {
         r.search()
         heap.update(r, r.bound)
       } else {
         if (best == null || r.cand.score > best.score) best = r.cand
+        if (stash == null) stash = ArrayBuffer.empty[R]
         stash += heap.pop()
       }
       r = heap.top
     }
-    stash.foreach(r => heap.update(r, r.bound))
+    if (stash != null) stash.foreach(r => heap.update(r, r.bound))
     Option(best)
   }
 }
@@ -100,20 +103,17 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
   private val grid  = new Grid(cfg.rectW, cfg.rectH)
   private val cells = mutable.LongMap.empty[Cell]
   private val heap  = new MaxHeap[Cell]
-
-  // Window membership is *event-driven*: a rect is Past from the update that
-  // adds its weight to `W_p` until the one that takes it out (`update`).
-  // This keeps searches consistent with the incrementally-tracked bounds and
-  // candidates when several events share one firing timestamp.
-  private val pastIds = mutable.HashSet.empty[Long]
-  private[core] def isPast(id: Long): Boolean = pastIds.contains(id)
-  private val winOf: SpatialObj => Win =
-    o => if (pastIds.contains(o.id)) Win.Past else Win.Cur
+  private val ws    = new SweepLine.Workspace
 
   val stats = new CspotStats
 
   private final class Cell(key: Long) extends SearchRegion(key) {
-    val rects = mutable.LinkedHashMap.empty[Long, SpatialObj]
+    // Window membership is *event-driven*: a rect is Past from the update
+    // that adds its weight to `W_p` until the one that takes it out
+    // (`update`). This keeps searches consistent with the incrementally
+    // tracked bounds and candidates when several events share one firing
+    // timestamp.
+    val rects = new CellRects
     var us: Double = 0.0
     var ud: Double = Double.PositiveInfinity
     var cand: BurstyPoint = _
@@ -127,7 +127,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
 
     def search(): Unit = {
       val box = grid.cellBox(key)
-      val res = SweepLine.burstyPoint(rects.values, box, cfg, winOf)
+      val res = rects.sweep(box, cfg, ws)
       stats.search(res.rectCount)
       cand = res.point.getOrElse(BurstyPoint(box.x0, box.y0, 0.0, 0.0, 0.0))
       candValid = true
@@ -144,7 +144,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
   def rectsCovering(px: Double, py: Double): Iterator[SpatialObj] =
     cells.get(grid.cellOf(px, py)) match {
       case None    => Iterator.empty
-      case Some(c) => c.rects.valuesIterator.filter(o => cfg.rectBox(o).contains(px, py))
+      case Some(c) => c.rects.covering(px, py, cfg.rectW, cfg.rectH)
     }
 
   /** Process one event and report the current bursty point (Algorithm 2). */
@@ -188,15 +188,14 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     val size  = dc + dp
     val dUd   = math.max(0.0, math.max(dc - cfg.alpha * dp, (1 - cfg.alpha) * dc))
     val rises = dc > 0 || dp < 0
-    if (dp > 0) pastIds += o.id
-    else if (dp < 0) pastIds -= o.id
     grid.foreachCell(obox) { key =>
       val c =
         if (size > 0) cells.getOrElseUpdate(key, new Cell(key))
         else cells.getOrNull(key)
       if (c != null) {
-        if (size > 0) c.rects.update(o.id, o)
-        else if (size < 0) c.rects.remove(o.id)
+        if (size > 0) c.rects.add(o, size, isPast = dp > 0)
+        else if (size < 0) c.rects.remove(o)
+        else if (dp > 0) c.rects.grow(o)
         c.us += dc
         c.ud += dUd
         if (c.cand != null) {
@@ -210,7 +209,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
           if (c.candValid)
             c.candValid = mode != BoundMode.NoBounds && (if (rises) covered && pre >= -1e-9 else !covered)
         }
-        if (c.rects.isEmpty) {
+        if (c.rects.size == 0) {
           cells.remove(key)
           heap.remove(c)
         } else heap.update(c, c.bound)

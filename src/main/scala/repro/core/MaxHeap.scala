@@ -22,6 +22,14 @@ final class MaxHeap[E <: HeapEntry] {
   /** The first entry in heap order, or `null` if the heap is empty. */
   def top: E = a(0).asInstanceOf[E]
 
+  /** The best priority below the top (that of its larger child), or −∞ if
+    * the top is alone.
+    */
+  def belowTop: Double =
+    if (n < 2) Double.NegativeInfinity
+    else if (n == 2) a(1).prio
+    else math.max(a(1).prio, a(2).prio)
+
   /** Insert `e` at priority `p`, or move it there if it is in the heap. */
   def update(e: E, p: Double): Unit = {
     if (e.slot < 0) {

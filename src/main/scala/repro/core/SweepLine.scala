@@ -28,6 +28,16 @@ package repro.core
   * the paper's Algorithm 1 rescans every candidate x on every row in
   * `O(n²)`.
   *
+  * The sweep reads rects as [[SweepLine.Columns]] whose positions are kept
+  * in order of corner x and of corner y. Every rect has the same `b×a` size,
+  * so its clipped edges `max(x, x0)` and `min(x + b, x1)` are both monotone
+  * in `x`: merging the two edge sequences in x order gives the distinct
+  * candidate xs and every rect's leaf range in `O(n)`, and the same merge in
+  * y order gives the rows. The adds (tops) and removes (bottoms) are two
+  * descending walks of the y order, so the sweep itself neither sorts nor
+  * searches. `CellCspot` keeps both orders as rects arrive; the `Iterable`
+  * overloads gather their input and sort it into the same form.
+  *
   * Tie order: a row replaces the best point only when its maximum exceeds
   * it by more than `1e-12`, and then with its leftmost maximiser, so the
   * answer is the topmost row's leftmost point among the maximisers.
@@ -40,6 +50,78 @@ object SweepLine {
     */
   final case class SweepResult(point: Option[BurstyPoint], rectCount: Int)
 
+  /** Rects as columns over positions: the object, its corner `x` and `y`,
+    * its weight `d = w/|W|` and whether it is in `W_p`. The first `ordered`
+    * entries of `byX` and `byY` are positions sorted by corner x and by
+    * corner y, ties in position order; both are `null` until [[sortOrders]]
+    * first runs.
+    */
+  private[core] class Columns(cap: Int) {
+    var objs: Array[SpatialObj] = new Array[SpatialObj](cap)
+    var xs: Array[Double]       = new Array[Double](cap)
+    var ys: Array[Double]       = new Array[Double](cap)
+    var ds: Array[Double]       = new Array[Double](cap)
+    var past: Array[Boolean]    = new Array[Boolean](cap)
+    var byX: Array[Int]         = null
+    var byY: Array[Int]         = null
+    var ordered: Int            = 0
+
+    def capacity: Int = objs.length
+
+    /** Resizes every column to `cap` positions, keeping the contents of
+      * the first `cap`.
+      */
+    def resize(cap: Int): Unit = {
+      objs = java.util.Arrays.copyOf(objs, cap)
+      xs = java.util.Arrays.copyOf(xs, cap)
+      ys = java.util.Arrays.copyOf(ys, cap)
+      ds = java.util.Arrays.copyOf(ds, cap)
+      past = java.util.Arrays.copyOf(past, cap)
+      if (byX != null) {
+        byX = java.util.Arrays.copyOf(byX, cap)
+        byY = java.util.Arrays.copyOf(byY, cap)
+      }
+    }
+
+    /** Sets both orders to positions `0 until n`, sorted stably by `xs`
+      * and by `ys`, with scratch space from `ws`.
+      */
+    def sortOrders(n: Int, ws: Workspace): Unit = {
+      if (byX == null || byX.length < capacity) { byX = new Array[Int](capacity); byY = new Array[Int](capacity) }
+      argsort(xs, n, byX, ws.fx)
+      argsort(ys, n, byY, ws.fx)
+      ordered = n
+    }
+
+    def set(p: Int, o: SpatialObj, d: Double, isPast: Boolean): Unit = {
+      objs(p) = o; xs(p) = o.x; ys(p) = o.y; ds(p) = d; past(p) = isPast
+    }
+  }
+
+  /** The arrays a sweep works in, kept between sweeps: they grow to the
+    * largest input seen and are never freed. A detector owns one; it is
+    * not safe to share between threads.
+    */
+  final class Workspace {
+    private[SweepLine] val gathered = new Columns(16)
+    // Per position: ranks of the low and high clipped edges on each axis.
+    private[SweepLine] var xl, xh, yl, yh = new Array[Int](16)
+    // The positions meeting the box, in x and in y order.
+    private[SweepLine] var fx, fy = new Array[Int](16)
+    // Distinct clipped edges per axis.
+    private[SweepLine] var xe, ye = new Array[Double](32)
+    private[SweepLine] val tree = new MaxTree
+
+    private[SweepLine] def fit(positions: Int, n: Int): Unit = {
+      if (xl.length < positions) {
+        xl = new Array[Int](positions); xh = new Array[Int](positions)
+        yl = new Array[Int](positions); yh = new Array[Int](positions)
+      }
+      if (fx.length < n) { fx = new Array[Int](n); fy = new Array[Int](n) }
+      if (xe.length < 2 * n) { xe = new Array[Double](2 * n); ye = new Array[Double](2 * n) }
+    }
+  }
+
   /** Wall-clock classification (snapshot semantics): windows derived from
     * `now` via [[Win.of]]. The continuous structures instead pass an explicit
     * event-driven classifier — see the other overload — because mid-batch
@@ -49,101 +131,134 @@ object SweepLine {
   def burstyPoint(all: Iterable[SpatialObj], box: Box, now: Long, cfg: SurgeConfig): SweepResult =
     burstyPoint(all, box, cfg, o => Win.of(o.t, now, cfg.windowMillis))
 
-  def burstyPoint(all: Iterable[SpatialObj], box: Box, cfg: SurgeConfig,
-                  winOf: SpatialObj => Win): SweepResult = {
-    // Live rectangles meeting the search box: clipped edges (left and right
-    // at 2i, 2i+1 of `xe`, bottom and top in `ye`), weight and window.
-    val cap = all.size
-    val xe  = new Array[Double](2 * cap)
-    val ye  = new Array[Double](2 * cap)
-    val d   = new Array[Double](cap)
-    val cur = new Array[Boolean](cap)
-    var n   = 0
+  /** Gathers the live rects of `all` into `ws`, sorts them into
+    * [[Columns]] and sweeps them.
+    */
+  def burstyPoint(all: Iterable[SpatialObj], box: Box, cfg: SurgeConfig, winOf: SpatialObj => Win,
+                  ws: Workspace = new Workspace): SweepResult = {
+    val g = ws.gathered
+    if (all.size > g.capacity) g.resize(all.size)
+    var n = 0
     all.foreach { o =>
-      if (o.x <= box.x1 && box.x0 <= o.x + cfg.rectW && o.y <= box.y1 && box.y0 <= o.y + cfg.rectH) {
-        val w = winOf(o)
-        if (w != Win.Out) {
-          xe(2 * n) = math.max(o.x, box.x0); xe(2 * n + 1) = math.min(o.x + cfg.rectW, box.x1)
-          ye(2 * n) = math.max(o.y, box.y0); ye(2 * n + 1) = math.min(o.y + cfg.rectH, box.y1)
-          d(n) = cfg.delta(o.w); cur(n) = w == Win.Cur
-          n += 1
-        }
-      }
+      val w = winOf(o)
+      if (w != Win.Out) { g.set(n, o, cfg.delta(o.w), w == Win.Past); n += 1 }
     }
-    if (n == 0) return SweepResult(None, 0)
+    g.sortOrders(n, ws)
+    sweep(g, box, cfg, ws)
+  }
+
+  /** The sweep over pre-ordered columns: `c.byX` and `c.byY` must hold
+    * exactly the live positions. Rects not meeting `box` are skipped.
+    */
+  private[core] def sweep(c: Columns, box: Box, cfg: SurgeConfig, ws: Workspace): SweepResult = {
+    ws.fit(c.capacity, c.ordered)
+    val fy = ws.fy
+    val m  = meeting(c, c.byX, box, cfg, ws.fx)
+    if (m == 0) return SweepResult(None, 0)
+    meeting(c, c.byY, box, cfg, fy)
 
     // Candidate coordinates per axis: the distinct clipped edges, with
     // position 2e standing for edge e and 2e+1 for the midpoint of e, e+1.
-    val xs   = java.util.Arrays.copyOf(xe, 2 * n)
-    val ys   = java.util.Arrays.copyOf(ye, 2 * n)
-    val kx   = sortDistinct(xs)
-    val ky   = sortDistinct(ys)
+    val kx   = ranks(ws.fx, m, c.xs, cfg.rectW, box.x0, box.x1, ws.xe, ws.xl, ws.xh)
+    val ky   = ranks(fy, m, c.ys, cfg.rectH, box.y0, box.y1, ws.ye, ws.yl, ws.yh)
     val rows = 2 * ky - 1
 
-    // Each rect's x range, and its edge events over the top-down rows as
-    // packed `row << 32 | slot`: slot i adds rect i at the row of its top
-    // edge, slot n + i removes it at the first row below its bottom edge.
-    val xlo = new Array[Int](n)
-    val xhi = new Array[Int](n)
-    val ev  = new Array[Long](2 * n)
-    var i   = 0
-    while (i < n) {
-      xlo(i) = 2 * lowerBound(xs, kx, xe(2 * i))
-      xhi(i) = 2 * lowerBound(xs, kx, xe(2 * i + 1))
-      val top = rows - 1 - 2 * lowerBound(ys, ky, ye(2 * i + 1))
-      val bot = rows - 2 * lowerBound(ys, ky, ye(2 * i))
-      ev(2 * i) = top.toLong << 32 | i
-      ev(2 * i + 1) = bot.toLong << 32 | (n + i)
-      i += 1
-    }
-    java.util.Arrays.sort(ev)
-
-    val tree = new MaxTree(2 * kx - 1, cfg.alpha)
+    // Rows run top-down. A rect is added at the row of its top edge and
+    // removed at the first row below its bottom edge; both rows fall as `y`
+    // rises, so walking `fy` downwards visits each kind in row order.
+    val tree = ws.tree
+    tree.reset(2 * kx - 1, cfg.alpha)
     var best: BurstyPoint = null
-    var e = 0
+    var add = m - 1
+    var rem = m - 1
     var row = 0
     while (row < rows) {
-      while (e < ev.length && (ev(e) >>> 32).toInt == row) {
-        val slot = ev(e).toInt
-        val r    = if (slot < n) slot else slot - n
-        val dr   = if (slot < n) d(r) else -d(r)
-        if (cur(r)) tree.add(xlo(r), xhi(r), dr, 0.0) else tree.add(xlo(r), xhi(r), 0.0, dr)
-        e += 1
-      }
+      while (add >= 0 && rows - 1 - 2 * ws.yh(fy(add)) <= row) { edge(c, fy(add), 1.0, ws); add -= 1 }
+      while (rem >= 0 && rows - 2 * ws.yl(fy(rem)) <= row) { edge(c, fy(rem), -1.0, ws); rem -= 1 }
       if (best == null || tree.max > best.score + 1e-12) {
         val j = tree.argmax()
         val s = cfg.burst(tree.fc, tree.fp)
         if (best == null || s > best.score + 1e-12)
-          best = BurstyPoint(coord(xs, j), coord(ys, rows - 1 - row), tree.fc, tree.fp, s)
+          best = BurstyPoint(coord(ws.xe, j), coord(ws.ye, rows - 1 - row), tree.fc, tree.fp, s)
       }
       row += 1
     }
-    SweepResult(Some(best), n)
+    SweepResult(Some(best), m)
   }
 
-  /** Sorts `a` and moves its distinct values to the front; returns their count. */
-  private def sortDistinct(a: Array[Double]): Int = {
-    java.util.Arrays.sort(a)
-    var k = 1
-    var i = 1
-    while (i < a.length) {
-      if (a(i) != a(k - 1)) { a(k) = a(i); k += 1 }
+  /** Copies the positions among the first `c.ordered` of `ord` whose rect
+    * meets `box` to `out`, in order; returns their number.
+    */
+  private def meeting(c: Columns, ord: Array[Int], box: Box, cfg: SurgeConfig, out: Array[Int]): Int = {
+    var m = 0
+    var i = 0
+    while (i < c.ordered) {
+      val p = ord(i)
+      if (c.xs(p) <= box.x1 && box.x0 <= c.xs(p) + cfg.rectW && c.ys(p) <= box.y1 && box.y0 <= c.ys(p) + cfg.rectH) {
+        out(m) = p; m += 1
+      }
       i += 1
+    }
+    m
+  }
+
+  /** Adds (`sign = 1`) or removes (`sign = −1`) the rect at position `p`
+    * over its range of candidate xs.
+    */
+  private def edge(c: Columns, p: Int, sign: Double, ws: Workspace): Unit = {
+    val d = sign * c.ds(p)
+    if (c.past(p)) ws.tree.add(2 * ws.xl(p), 2 * ws.xh(p), 0.0, d)
+    else ws.tree.add(2 * ws.xl(p), 2 * ws.xh(p), d, 0.0)
+  }
+
+  /** Merges the low edges `max(v, lo)` and the high edges `min(v + ext, hi)`
+    * of the positions `ord(0 until m)`, which are sorted by `v`, so both edge
+    * sequences are sorted. Writes the distinct edges to `edges`, each
+    * position's low and high edge rank to `rLo` and `rHi`, and returns the
+    * number of distinct edges.
+    */
+  private def ranks(ord: Array[Int], m: Int, v: Array[Double], ext: Double, lo: Double, hi: Double,
+                    edges: Array[Double], rLo: Array[Int], rHi: Array[Int]): Int = {
+    var i = 0
+    var j = 0
+    var k = 0
+    while (j < m) {
+      val el = if (i < m) math.max(v(ord(i)), lo) else Double.PositiveInfinity
+      val eh = math.min(v(ord(j)) + ext, hi)
+      val e  = math.min(el, eh)
+      if (k == 0 || edges(k - 1) != e) { edges(k) = e; k += 1 }
+      if (el <= eh) { rLo(ord(i)) = k - 1; i += 1 }
+      else { rHi(ord(j)) = k - 1; j += 1 }
     }
     k
   }
 
-  /** Position of value `v` among the `k` distinct values at the front of
-    * `a` (the first at least `v`).
-    */
-  private def lowerBound(a: Array[Double], k: Int, v: Double): Int = {
-    var lo = 0
-    var hi = k
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (a(mid) >= v) hi = mid else lo = mid + 1
+  /** Sets `ord(0 until n)` to the indices `0 until n` stably sorted by `key`. */
+  private def argsort(key: Array[Double], n: Int, ord: Array[Int], tmp0: Array[Int]): Unit = {
+    var src = ord
+    var dst = if (tmp0.length >= n) tmp0 else new Array[Int](n)
+    var i = 0
+    while (i < n) { src(i) = i; i += 1 }
+    var w = 1
+    while (w < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + w, n)
+        val hi  = math.min(lo + 2 * w, n)
+        var l = lo
+        var r = mid
+        var o = lo
+        while (o < hi) {
+          if (r >= hi || (l < mid && key(src(l)) <= key(src(r)))) { dst(o) = src(l); l += 1 }
+          else { dst(o) = src(r); r += 1 }
+          o += 1
+        }
+        lo = hi
+      }
+      val t = src; src = dst; dst = t
+      w *= 2
     }
-    lo
+    if (src ne ord) System.arraycopy(src, 0, ord, 0, n)
   }
 
   /** Candidate at position `p`: edge `p/2`, or the midpoint after it if `p` is odd. */
@@ -154,35 +269,56 @@ object SweepLine {
     * A node keeps its own adds `addC`/`addP` (never pushed down) and the
     * maxima over its subtree of `f_c − α·f_p` (`mxA`) and of `(1−α)·f_c`
     * (`mxB`), counting the adds at the node and below it. Padding leaves are
-    * −∞, so they never win.
+    * −∞, so they never win. [[reset]] empties it for a new sweep, reusing
+    * its arrays.
     */
-  private final class MaxTree(m: Int, alpha: Double) {
-    private val size = if (m <= 1) 1 else Integer.highestOneBit(m - 1) << 1
-    private val addC = new Array[Double](2 * size)
-    private val addP = new Array[Double](2 * size)
-    private val mxA  = new Array[Double](2 * size)
-    private val mxB  = new Array[Double](2 * size)
-    java.util.Arrays.fill(mxA, size + m, 2 * size, Double.NegativeInfinity)
-    java.util.Arrays.fill(mxB, size + m, 2 * size, Double.NegativeInfinity)
-    for (v <- size - 1 to 1 by -1) pull(v)
+  private final class MaxTree {
+    private var size  = 1
+    private var alpha = 0.0
+    private var addC  = new Array[Double](2)
+    private var addP  = new Array[Double](2)
+    private var mxA   = new Array[Double](2)
+    private var mxB   = new Array[Double](2)
 
     /** `(f_c, f_p)` of the leaf the last [[argmax]] returned. */
     var fc, fp = 0.0
 
+    /** Empties the tree and sizes it for `m` leaves. */
+    def reset(m: Int, alpha: Double): Unit = {
+      this.alpha = alpha
+      size = if (m <= 1) 1 else Integer.highestOneBit(m - 1) << 1
+      if (addC.length < 2 * size) {
+        addC = new Array[Double](2 * size); addP = new Array[Double](2 * size)
+        mxA = new Array[Double](2 * size); mxB = new Array[Double](2 * size)
+      }
+      java.util.Arrays.fill(addC, 0, 2 * size, 0.0)
+      java.util.Arrays.fill(addP, 0, 2 * size, 0.0)
+      java.util.Arrays.fill(mxA, size, size + m, 0.0)
+      java.util.Arrays.fill(mxB, size, size + m, 0.0)
+      java.util.Arrays.fill(mxA, size + m, 2 * size, Double.NegativeInfinity)
+      java.util.Arrays.fill(mxB, size + m, 2 * size, Double.NegativeInfinity)
+      var v = size - 1
+      while (v >= 1) { pull(v); v -= 1 }
+    }
+
     /** The best burst score over all leaves. */
     def max: Double = math.max(mxA(1), mxB(1))
 
-    /** Adds `(dc, dp)` to leaves `lo..hi`. */
-    def add(lo: Int, hi: Int, dc: Double, dp: Double): Unit = add(1, 0, size - 1, lo, hi, dc, dp)
-
-    private def add(v: Int, vl: Int, vr: Int, lo: Int, hi: Int, dc: Double, dp: Double): Unit = {
-      if (lo <= vl && vr <= hi) { addC(v) += dc; addP(v) += dp }
-      else {
-        val mid = (vl + vr) >>> 1
-        if (lo <= mid) add(2 * v, vl, mid, lo, hi, dc, dp)
-        if (hi > mid) add(2 * v + 1, mid + 1, vr, lo, hi, dc, dp)
+    /** Adds `(dc, dp)` to leaves `lo..hi`: to the nodes covering the range
+      * bottom-up, then pulls the two boundary paths up to the root.
+      */
+    def add(lo: Int, hi: Int, dc: Double, dp: Double): Unit = {
+      var l = lo + size
+      var r = hi + size + 1
+      while (l < r) {
+        if ((l & 1) == 1) { addC(l) += dc; addP(l) += dp; pull(l); l += 1 }
+        if ((r & 1) == 1) { r -= 1; addC(r) += dc; addP(r) += dp; pull(r) }
+        l >>= 1; r >>= 1
       }
-      pull(v)
+      l = (lo + size) >> 1
+      r = (hi + size) >> 1
+      while (l != r) { pull(l); pull(r); l >>= 1; r >>= 1 }
+      while (l >= 1) { pull(l); l >>= 1 }
     }
 
     private def pull(v: Int): Unit = {

@@ -23,14 +23,15 @@ import repro.core._
 final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   require(k >= 1)
 
-  // layers(i - 1) holds exactly the live rects of level ≥ i. Layer 0 holds
-  // every live rect and sees every event, so it answers window membership.
+  // layers(i - 1) holds exactly the live rects of level ≥ i.
   private val layers = Array.fill(k)(new CellCspot(cfg, BoundMode.Full))
   // Every live rect's level; `setLevel` is the only method that changes it.
   // After step i of an event, the level-i rects are exactly layer i-1's rects
   // covering p[i], so they are found through that layer's cell index.
   private val lvl    = mutable.LongMap.empty[Int]
   private val points = Array.fill[Option[BurstyPoint]](k)(None)
+  // The live rects in `W_p`, so that `setLevel` re-inserts into the right window.
+  private val pastIds = mutable.HashSet.empty[Long]
 
   /** Total SL-CSPOT invocations across all layers (cost accounting). */
   def searches: Long = layers.map(_.stats.searches).sum
@@ -40,6 +41,8 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     */
   def onEvent(e: Event): IndexedSeq[Option[BurstyPoint]] = {
     val o = e.obj
+    if (e.kind.dPast > 0) pastIds += o.id
+    else if (e.kind.dPast < 0) pastIds -= o.id
     val l = lvl.getOrElseUpdate(o.id, k)
     var j = 0
     while (j < l) { layers(j).process(e); j += 1 }
@@ -79,7 +82,7 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   private def setLevel(o: SpatialObj, to: Int): Unit = {
     val from = lvl(o.id)
     lvl(o.id) = to
-    val past = layers(0).isPast(o.id)
+    val past = pastIds.contains(o.id)
     var j = math.min(from, to)
     while (j < math.max(from, to)) { layers(j).synthetic(o, insert = to > from, past); j += 1 }
   }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Random
+import scala.collection.mutable
 import scala.concurrent.{Await, Future}
 import scala.concurrent.ExecutionContext.Implicits.global
 import scala.concurrent.duration.Duration
@@ -151,6 +153,68 @@ class CellCspotSpec extends AnyFunSuite with TimeLimits {
     assert(algo.cellCount == 0)
     assert(algo.query().isEmpty)
   }
+
+  // Cells are column stores in arrival order. These streams leave that
+  // order: synthetic inserts and removals of any rect, re-inserts of a
+  // removed id, Grown and Expired in random order, some of them naming the
+  // rect by an equal copy, and enough churn in a 2×2 area (every rect in
+  // every cell) to pack and grow the columns.
+  for (seed <- 0 until 6)
+    test(s"cell store: out-of-order inserts, removals, Grown and Expired, seed $seed") {
+      val cfg  = TestGen.cfg(windowMillis = 1000L, alpha = (seed % 3) * 0.4)
+      val now  = 10000L
+      val algo = new CellCspot(cfg, BoundMode.Full)
+      val rng  = new Random(seed)
+      val cur  = mutable.LinkedHashMap.empty[Long, SpatialObj]
+      val past = mutable.LinkedHashMap.empty[Long, SpatialObj]
+      val gone = mutable.ArrayBuffer.empty[SpatialObj]
+      def pick(m: mutable.LinkedHashMap[Long, SpatialObj]): SpatialObj = m.valuesIterator.drop(rng.nextInt(m.size)).next()
+      def named(o: SpatialObj): SpatialObj = if (rng.nextInt(4) == 0) o.copy() else o
+      def insert(o: SpatialObj, isPast: Boolean): Unit = {
+        algo.synthetic(o, insert = true, past = isPast)
+        (if (isPast) past else cur)(o.id) = o
+      }
+      var next = 0L
+      for (step <- 0 until 400) {
+        val live = cur.size + past.size
+        (if (live >= 30) 4 + rng.nextInt(2) else rng.nextInt(6)) match {
+          case 0 | 1 =>
+            insert(SpatialObj(next, 0.5 + rng.nextDouble(), 2 * rng.nextDouble(), 2 * rng.nextDouble(), now),
+                   rng.nextInt(3) == 0)
+            next += 1
+          case 2 if gone.nonEmpty =>
+            insert(gone.remove(rng.nextInt(gone.size)), rng.nextBoolean())
+          case 3 if cur.nonEmpty =>
+            val o = pick(cur)
+            algo.process(Event(named(o), EventKind.Grown, now))
+            cur.remove(o.id); past(o.id) = o
+          case 4 if past.nonEmpty =>
+            val o = pick(past)
+            algo.process(Event(named(o), EventKind.Expired, now))
+            past.remove(o.id); gone += o
+          case 5 if live > 0 =>
+            val isPast = cur.isEmpty || (past.nonEmpty && rng.nextBoolean())
+            val o      = pick(if (isPast) past else cur)
+            algo.synthetic(named(o), insert = false, past = isPast)
+            (if (isPast) past else cur).remove(o.id); gone += o
+          case _ => ()
+        }
+        val objs = (cur.valuesIterator.map(_.copy(t = now)) ++
+                    past.valuesIterator.map(_.copy(t = now - cfg.windowMillis))).toIndexedSeq
+        (algo.query(), BruteForce.burstyPoint(objs, now, cfg)) match {
+          case (None, None) => ()
+          case (Some(g), Some(b)) =>
+            assert(math.abs(g.score - b.score) < 1e-6, s"step $step: got ${g.score}, brute ${b.score}")
+            val chk = BruteForce.scoreAt(objs, now, cfg, g.x, g.y)
+            assert(math.abs(chk.score - g.score) < 1e-6, s"step $step: stale candidate $g vs $chk")
+          case (g, b) => fail(s"step $step: presence mismatch got=$g brute=$b")
+        }
+        val (px, py) = (3 * rng.nextDouble(), 3 * rng.nextDouble())
+        assert(algo.rectsCovering(px, py).map(_.id).toSet == BruteForce.coverIds(objs, now, cfg, px, py),
+               s"step $step: rectsCovering($px, $py)")
+      }
+      assert(next > 60 && algo.cellCount > 0)
+    }
 
   test("rectsCovering finds exactly the covering live rects") {
     val cfg  = TestGen.cfg(windowMillis = 1000L)

@@ -97,6 +97,7 @@ class MaxHeapSpec extends AnyFunSuite {
               val max = ref.values.max
               assert(h.top.prio == max)
               assert(h.top.key == ref.collect { case (k, p) if p == max => k }.min)
+              assert(h.belowTop == (ref - h.top.key).values.maxOption.getOrElse(Double.NegativeInfinity))
             }
           case 4 =>
             val e = h.pop()

@@ -54,14 +54,33 @@ class SweepLineSpec extends AnyFunSuite {
     assert(math.abs(p.score - 2.0) < 1e-9)
   }
 
+  /** Random snapshot `seed`: its config, time and objects. */
+  private def randomSnapshot(seed: Int): (SurgeConfig, Long, IndexedSeq[SpatialObj]) = {
+    val rng = new Random(seed)
+    val cfg = TestGen.cfg(
+      windowMillis = W, alpha = rng.nextInt(10) / 10.0,
+      rectW = 0.5 + rng.nextDouble(), rectH = 0.5 + rng.nextDouble())
+    val now = 20000L
+    (cfg, now, TestGen.snapshot(seed, 3 + rng.nextInt(50), now, W))
+  }
+
+  // Integer weights with |W| = 1 h and alpha in {0, 0.5} keep every sum and
+  // score exact, so ties between candidates are real ties.
+  private def tiedSnapshot(seed: Int, alpha: Double): (SurgeConfig, Long, IndexedSeq[SpatialObj]) = {
+    val hour = 3600000L
+    val cfg  = TestGen.cfg(windowMillis = hour, alpha = alpha)
+    val now  = 10 * hour
+    val rng  = new Random(seed)
+    val objs = (0 until 40).map { i =>
+      SpatialObj(i.toLong, 1.0 + rng.nextInt(3), rng.nextInt(9) / 2.0, rng.nextInt(9) / 2.0,
+                 now - rng.nextInt(5) * hour / 2)
+    }
+    (cfg, now, objs)
+  }
+
   for (seed <- 0 until 40)
     test(s"matches brute force on a random snapshot, seed $seed") {
-      val rng = new Random(seed)
-      val cfg = TestGen.cfg(
-        windowMillis = W, alpha = rng.nextInt(10) / 10.0,
-        rectW = 0.5 + rng.nextDouble(), rectH = 0.5 + rng.nextDouble())
-      val now  = 20000L
-      val objs = TestGen.snapshot(seed, 3 + rng.nextInt(50), now, W)
+      val (cfg, now, objs) = randomSnapshot(seed)
       val sw = SweepLine.burstyPoint(objs, big, now, cfg).point
       val bf = BruteForce.burstyPoint(objs, now, cfg)
       assert(sw.isDefined == bf.isDefined)
@@ -116,26 +135,45 @@ class SweepLineSpec extends AnyFunSuite {
     e ++ e.sliding(2).collect { case Seq(a, b) => (a + b) / 2 }
   }
 
-  // Integer weights with |W| = 1 h and alpha in {0, 0.5} keep every sum and
-  // score exact, so ties between candidates are real ties. Continuous
-  // detectors' search counts depend on which maximiser the sweep reports.
+  // Continuous detectors' search counts depend on which maximiser the sweep
+  // reports.
   for (seed <- 0 until 20; alpha <- Seq(0.0, 0.5))
     test(s"reports the topmost, then leftmost, maximiser on tied snapshots, seed $seed, alpha $alpha") {
-      val hour = 3600000L
-      val cfg  = TestGen.cfg(windowMillis = hour, alpha = alpha)
-      val now  = 10 * hour
-      val rng  = new Random(seed)
-      val objs = (0 until 40).map { i =>
-        SpatialObj(i.toLong, 1.0 + rng.nextInt(3), rng.nextInt(9) / 2.0, rng.nextInt(9) / 2.0,
-                   now - rng.nextInt(5) * hour / 2)
-      }
-      val live = objs.filter(o => Win.of(o.t, now, hour) != Win.Out)
+      val (cfg, now, objs) = tiedSnapshot(seed, alpha)
+      val live = objs.filter(o => Win.of(o.t, now, cfg.windowMillis) != Win.Out)
       val xs   = candidates(live.flatMap(o => Seq(o.x, o.x + cfg.rectW)))
       val ys   = candidates(live.flatMap(o => Seq(o.y, o.y + cfg.rectH)))
       val all  = for (y <- ys; x <- xs) yield BruteForce.scoreAt(live, now, cfg, x, y)
       val top  = all.map(_.score).max
       val want = all.filter(_.score == top).minBy(p => (-p.y, p.x))
       assert(SweepLine.burstyPoint(objs, big, now, cfg).point.contains(want))
+    }
+
+  // The core as `CellCspot` feeds it: live rects at scattered positions of
+  // the columns (every other one empty), both orders built here, and one
+  // workspace reused across every case. The `Iterable` path gathers the
+  // same rects in the same order, so the two must agree exactly.
+  private val ws = new SweepLine.Workspace
+  private val snapshots =
+    (0 until 40).map(s => s"random snapshot, seed $s" -> randomSnapshot(s)) ++
+      (for (s <- 0 until 20; a <- Seq(0.0, 0.5)) yield s"tied snapshot, seed $s, alpha $a" -> tiedSnapshot(s, a))
+  for ((name, (cfg, now, objs)) <- snapshots)
+    test(s"pre-ordered columns sweep like the Iterable path, $name") {
+      val live = objs.filter(o => Win.of(o.t, now, cfg.windowMillis) != Win.Out)
+      val cols = new SweepLine.Columns(2 * live.size + 1)
+      live.indices.foreach { i =>
+        val o = live(i)
+        cols.set(2 * i + 1, o, cfg.delta(o.w), Win.of(o.t, now, cfg.windowMillis) == Win.Past)
+      }
+      val pos = live.indices.map(2 * _ + 1)
+      cols.byX = pos.sortBy(cols.xs(_)).toArray
+      cols.byY = pos.sortBy(cols.ys(_)).toArray
+      cols.ordered = live.size
+      for (box <- Seq(big, Box(1.0, 1.5, 2.0, 2.5))) {
+        val core = SweepLine.sweep(cols, box, cfg, ws)
+        val iter = SweepLine.burstyPoint(objs, box, now, cfg)
+        assert(core == iter, s"box $box")
+      }
     }
 
   test("rectCount reports only live rects intersecting the box") {

@@ -5,14 +5,17 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGen}
 import repro.core._
 
+/** Test tuple: epoch millis + position + weight. Top-level, so that Spark's
+  * whole-stage code generation can construct it (a class nested in the
+  * suite needs the suite instance, which generated code does not have).
+  */
+final case class TP(tMillis: Long, x: Double, y: Double, w: Double)
+
 /** Structured Streaming hopping-window detector: the streaming aggregation
   * must equal a from-scratch computation over the same tuples, and the
   * window-pairing join of `burstScores` must match the DuckDB oracle.
   */
 class StreamingSurgeSpec extends SparkSpec {
-
-  /** Test tuple: epoch millis + position + weight. */
-  private case class TP(tMillis: Long, x: Double, y: Double, w: Double)
 
   private def mkObjs(seed: Int, n: Int, spanMs: Long): Seq[TP] = {
     val rng = new java.util.Random(seed)
