@@ -1,5 +1,6 @@
 package repro.bench
 
+import scala.util.hashing.MurmurHash3
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.core.topk.KCellCspot
@@ -20,7 +21,9 @@ import repro.stream.EventStream
   * `query` calls that searched over the searches they made), `process` ns
   * per event, the search count and a hash of every event's answer. The
   * second test prints search counts and answer hashes for B-CCS and Base
-  * (`Tables.streamFor(US, 8000, 1h)`, seeds 201 and 202) and kCCS(5).
+  * (`Tables.streamFor(US, 8000, 1h)`, seeds 201 and 202) and kCCS(5); for
+  * kCCS also rects per search and a fingerprint of the scores alone, which
+  * stays put when answers move among tied points.
   */
 class SearchCostBench extends AnyFunSuite {
   import SearchCostBench.Pass
@@ -42,6 +45,12 @@ class SearchCostBench extends AnyFunSuite {
     case Some(q) =>
       val bits = Seq(q.x, q.y, q.score).map(java.lang.Double.doubleToLongBits)
       bits.foldLeft(h)((a, b) => a * 31 + b)
+  }
+
+  /** Folds the scores of `v` into `h`, `None` as a value no score has. */
+  private def mixScores(h: Int, v: Seq[Option[BurstyPoint]]): Int = v.foldLeft(h) { (a, p) =>
+    val bits = p.fold(-1L)(q => java.lang.Double.doubleToLongBits(q.score))
+    MurmurHash3.mix(MurmurHash3.mix(a, bits.toInt), (bits >>> 32).toInt)
   }
 
   private def ccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): Pass = {
@@ -92,9 +101,18 @@ class SearchCostBench extends AnyFunSuite {
     for (r <- 0 until 2) {
       val (cfg, objs) = stream(0.1, r)
       val det  = new KCellCspot(cfg, 5)
-      var hash = 0L
-      EventStream.fromObjects(objs, cfg.windowMillis).foreach(e => hash = det.onEvent(e).foldLeft(hash)(mix))
-      println(f"kCCS(5)    stream $r: ${det.searches} searches  hash $hash%016x")
+      var hash   = 0L
+      var scores = 0
+      var events = 0
+      EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
+        val v = det.onEvent(e)
+        hash = v.foldLeft(hash)(mix)
+        scores = mixScores(scores, v)
+        events += 1
+      }
+      val rps = det.stats.sweptRects.toDouble / det.stats.searches
+      println(f"kCCS(5)    stream $r: ${det.searches} searches  $rps%.1f rects/search  hash $hash%016x  " +
+              f"scores ${MurmurHash3.finalizeHash(scores, events)}%08x over $events events")
     }
   }
 }

@@ -79,21 +79,80 @@ private[repro] object SearchRegion {
   }
 }
 
-/** Cell-CSPOT (Algorithm 2): exact continuous bursty-point detection.
-  *
-  * A grid of `b×a` cells (Definition 6) partitions the space. Each non-empty
-  * cell keeps:
-  *  - the rectangle objects overlapping it across `W_c ∪ W_p` (`c.G`),
+/** A grid cell of Algorithm 2 and its search state:
+  *  - the rectangle objects overlapping it across `W_c ∪ W_p`,
   *  - the static upper bound `U_s` of Eqn 2, maintained incrementally,
   *  - the dynamic upper bound `U_d` of Eqn 3 (+∞ until the first search),
   *  - a candidate point (the last SL-CSPOT result) whose per-window scores
   *    are tracked incrementally and whose validity follows Lemma 4.
   *
-  * A [[MaxHeap]] orders cells by `U(c) = min(U_s, U_d)`. An event updates
-  * the ≤4 affected cells in O(1) each; a query walks cells in descending
-  * bound order, re-sweeping only cells whose candidate is invalid, and stops
-  * as soon as no bound exceeds the best candidate score found — the lazy
-  * update strategy of Section IV-C1.
+  * Window membership is *event-driven*: a rect is Past from the update that
+  * adds its weight to `W_p` until the one that takes it out. This keeps
+  * searches consistent with the incrementally tracked bounds and candidates
+  * when several events share one firing timestamp.
+  */
+private[repro] abstract class CspotCell(key: Long, val rects: CellRects) extends SearchRegion(key) {
+  var us: Double = 0.0
+  var ud: Double = Double.PositiveInfinity
+  var cand: BurstyPoint = _
+  var candValid: Boolean = false
+
+  /** CCS's bound `U(c) = min(U_s, U_d)`. */
+  def bound: Double = math.min(math.max(us, 0.0), ud)
+
+  /** The Lemma 3/4 case analysis, once: the points `o` (box `obox`) covers
+    * change by `dc` in `f_c` and `dp` in `f_p`.
+    *  - `o` joins the cell when `dc + dp > 0` and leaves when `< 0`;
+    *  - `o` is Past from `dp > 0` until `dp < 0`;
+    *  - `U_s` (Eqn 2) moves by `dc`;
+    *  - `U_d` (Eqn 3) grows by the largest rise of `S = max(f_c − α·f_p,
+    *    (1−α)·f_c)` any covered point can see, and never shrinks;
+    *  - the candidate's tracked scores move by `(dc, dp)` if `o` covers it;
+    *  - Lemma 4 (conservative form, on pre-update scores): after a rise
+    *    (`dc > 0` or `dp < 0`) the candidate stays the cell's best iff `o`
+    *    covers it and `f_c ≥ f_p` there; after a fall iff `o` misses it.
+    *    Without `lemma4` (Base) no candidate stays valid across an update.
+    */
+  final def update(o: SpatialObj, obox: Box, dc: Double, dp: Double, cfg: SurgeConfig, lemma4: Boolean): Unit = {
+    val size = dc + dp
+    if (size > 0) rects.add(o, size, isPast = dp > 0)
+    else if (size < 0) rects.remove(o)
+    else if (dp > 0) rects.grow(o)
+    us += dc
+    ud += math.max(0.0, math.max(dc - cfg.alpha * dp, (1 - cfg.alpha) * dc))
+    if (cand != null) {
+      val covered = obox.contains(cand.x, cand.y)
+      val pre     = cand.fc - cand.fp
+      if (covered) {
+        val fc = cand.fc + dc
+        val fp = cand.fp + dp
+        cand = BurstyPoint(cand.x, cand.y, fc, fp, cfg.burst(fc, fp))
+      }
+      if (candValid)
+        candValid = lemma4 && (if (dc > 0 || dp < 0) covered && pre >= -1e-9 else !covered)
+    }
+  }
+
+  /** SL-CSPOT over the rects within this cell's `box`: its answer is the
+    * new valid candidate, and `U_d` falls to its score.
+    */
+  final def sweep(box: Box, cfg: SurgeConfig, ws: SweepLine.Workspace, stats: CspotStats): Unit = {
+    val res = rects.sweep(box, cfg, ws)
+    stats.search(res.rectCount)
+    cand = res.point.getOrElse(BurstyPoint(box.x0, box.y0, 0.0, 0.0, 0.0))
+    candValid = true
+    ud = cand.score
+  }
+}
+
+/** Cell-CSPOT (Algorithm 2): exact continuous bursty-point detection.
+  *
+  * A grid of `b×a` cells (Definition 6) partitions the space, and each
+  * non-empty cell is a [[CspotCell]]. A [[MaxHeap]] orders cells by their
+  * bound. An event updates the ≤4 affected cells in O(1) each; a query walks
+  * cells in descending bound order, re-sweeping only cells whose candidate
+  * is invalid, and stops as soon as no bound exceeds the best candidate
+  * score found — the lazy update strategy of Section IV-C1.
   *
   * Exactness note: whenever a candidate stays valid under Lemma 4, its
   * tracked score gains exactly the increment applied to `U_d`, so for valid
@@ -107,45 +166,18 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
 
   val stats = new CspotStats
 
-  private final class Cell(key: Long) extends SearchRegion(key) {
-    // Window membership is *event-driven*: a rect is Past from the update
-    // that adds its weight to `W_p` until the one that takes it out
-    // (`update`). This keeps searches consistent with the incrementally
-    // tracked bounds and candidates when several events share one firing
-    // timestamp.
-    val rects = new CellRects
-    var us: Double = 0.0
-    var ud: Double = Double.PositiveInfinity
-    var cand: BurstyPoint = _
-    var candValid: Boolean = false
-
-    def bound: Double = mode match {
-      case BoundMode.Full       => math.min(math.max(us, 0.0), ud)
+  private final class Cell(key: Long) extends CspotCell(key, new CellRects) {
+    override def bound: Double = mode match {
+      case BoundMode.Full       => super.bound
       case BoundMode.StaticOnly => math.max(us, 0.0)
       case BoundMode.NoBounds   => if (candValid) cand.score else Double.PositiveInfinity
     }
 
-    def search(): Unit = {
-      val box = grid.cellBox(key)
-      val res = rects.sweep(box, cfg, ws)
-      stats.search(res.rectCount)
-      cand = res.point.getOrElse(BurstyPoint(box.x0, box.y0, 0.0, 0.0, 0.0))
-      candValid = true
-      ud = cand.score
-    }
+    def search(): Unit = sweep(grid.cellBox(key), cfg, ws, stats)
   }
 
   /** Number of live (non-empty) cells. */
   def cellCount: Int = cells.size
-
-  /** All live rects covering `(px, py)` — used by the top-k extension to
-    * compute cover sets through the cell index instead of a full scan.
-    */
-  def rectsCovering(px: Double, py: Double): Iterator[SpatialObj] =
-    cells.get(grid.cellOf(px, py)) match {
-      case None    => Iterator.empty
-      case Some(c) => c.rects.covering(px, py, cfg.rectW, cfg.rectH)
-    }
 
   /** Process one event and report the current bursty point (Algorithm 2). */
   def onEvent(e: Event): Option[BurstyPoint] = { process(e); query() }
@@ -160,61 +192,28 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     update(e.obj, e.kind.dCur * d, e.kind.dPast * d)
   }
 
-  /** Synthetic insert/remove used by the top-k extension (Section VI-B):
-    * rectangle `o` becomes (in)visible to this instance while the clock
-    * stands still, adding or removing its weight in the window it is in
-    * (`W_p` if `past`, else `W_c`).
+  /** [[CspotCell.update]] on every cell `o` touches; a cell joins the heap
+    * with its first rect and leaves it with its last.
     */
-  def synthetic(o: SpatialObj, insert: Boolean, past: Boolean): Unit = {
-    val d = if (insert) cfg.delta(o.w) else -cfg.delta(o.w)
-    if (past) update(o, 0.0, d) else update(o, d, 0.0)
-  }
-
-  /** The Lemma 3/4 case analysis, once: every cell `o` touches sees the
-    * points `o` covers change by `dc` in `f_c` and `dp` in `f_p`.
-    *  - `o` joins the cells when `dc + dp > 0` and leaves when `< 0`;
-    *  - `o` is Past from `dp > 0` until `dp < 0`;
-    *  - `U_s` (Eqn 2) moves by `dc`;
-    *  - `U_d` (Eqn 3) grows by the largest rise of `S = max(f_c − α·f_p,
-    *    (1−α)·f_c)` any covered point can see, and never shrinks;
-    *  - the candidate's tracked scores move by `(dc, dp)` if `o` covers it;
-    *  - Lemma 4 (conservative form, on pre-update scores): after a rise
-    *    (`dc > 0` or `dp < 0`) the candidate stays the cell's best iff `o`
-    *    covers it and `f_c ≥ f_p` there; after a fall iff `o` misses it.
-    *    Base (`NoBounds`) keeps no candidate valid across an update.
-    */
-  private def update(o: SpatialObj, dc: Double, dp: Double): Unit = {
-    val obox  = cfg.rectBox(o)
-    val size  = dc + dp
-    val dUd   = math.max(0.0, math.max(dc - cfg.alpha * dp, (1 - cfg.alpha) * dc))
-    val rises = dc > 0 || dp < 0
+  private[repro] def update(o: SpatialObj, dc: Double, dp: Double): Unit = {
+    val obox = cfg.rectBox(o)
+    val join = dc + dp > 0
     grid.foreachCell(obox) { key =>
-      val c =
-        if (size > 0) cells.getOrElseUpdate(key, new Cell(key))
-        else cells.getOrNull(key)
+      val c = if (join) cells.getOrElseUpdate(key, new Cell(key)) else cells.getOrNull(key)
       if (c != null) {
-        if (size > 0) c.rects.add(o, size, isPast = dp > 0)
-        else if (size < 0) c.rects.remove(o)
-        else if (dp > 0) c.rects.grow(o)
-        c.us += dc
-        c.ud += dUd
-        if (c.cand != null) {
-          val covered = obox.contains(c.cand.x, c.cand.y)
-          val pre     = c.cand.fc - c.cand.fp
-          if (covered) {
-            val fc = c.cand.fc + dc
-            val fp = c.cand.fp + dp
-            c.cand = BurstyPoint(c.cand.x, c.cand.y, fc, fp, cfg.burst(fc, fp))
-          }
-          if (c.candValid)
-            c.candValid = mode != BoundMode.NoBounds && (if (rises) covered && pre >= -1e-9 else !covered)
-        }
+        c.update(o, obox, dc, dp, cfg, lemma4 = mode != BoundMode.NoBounds)
         if (c.rects.size == 0) {
           cells.remove(key)
           heap.remove(c)
         } else heap.update(c, c.bound)
       }
     }
+  }
+
+  /** The live rects covering `(px, py)`, through the cell index. */
+  private[repro] def rectsCovering(px: Double, py: Double): Iterator[SpatialObj] = {
+    val c = cells.getOrNull(grid.cellOf(px, py))
+    if (c == null) Iterator.empty else c.rects.covering(px, py, cfg.rectW, cfg.rectH)
   }
 
   /** Current bursty point (the lazy-update search loop of Algorithm 2).

@@ -6,10 +6,11 @@ package repro.core
   * A stream-fed cell is a FIFO like `EventStream`: New appends, Expired
   * takes the head, and Grown marks the rect at cursor `grown` (the first
   * rect that may still be current) as Past, so each is O(1). The top-k
-  * extension's synthetic inserts also append, and its out-of-order
-  * removals and Grown events find their rect by a scan. When `end` reaches
-  * the capacity, the live rects are packed to the front in order, and the
-  * columns double if they are more than 3/4 full.
+  * extension's private copies (see `KCellCspot`) also append synthetic
+  * inserts, and their out-of-order removals and Grown events find their
+  * rect by a scan. When `end` reaches the capacity, the live rects are
+  * packed to the front in order, and the columns double if they are more
+  * than 3/4 full.
   *
   * The orders `byX` and `byY` are sorted at the cell's first sweep, so a
   * cell that is never searched never holds them. From then on an append
@@ -17,7 +18,7 @@ package repro.core
   * Removed positions stay in both orders until the next sweep or pack drops
   * them, so a removal never touches them.
   */
-private[core] final class CellRects extends SweepLine.Columns(1) {
+private[core] final class CellRects extends SweepLine.Columns(1) with Cloneable {
   private var head  = 0
   private var end   = 0
   private var grown = 0
@@ -52,6 +53,17 @@ private[core] final class CellRects extends SweepLine.Columns(1) {
     past(find(o, grown)) = true
     skipGrown()
   }
+
+  /** An independent copy of these rects, positions and orders included. */
+  def copy(): CellRects = {
+    val c = clone().asInstanceOf[CellRects]
+    c.objs = objs.clone(); c.xs = xs.clone(); c.ys = ys.clone(); c.ds = ds.clone(); c.past = past.clone()
+    if (byX != null) { c.byX = byX.clone(); c.byY = byY.clone() }
+    c
+  }
+
+  /** The live rects, in arrival order. */
+  def live: Iterator[SpatialObj] = Iterator.range(head, end).map(objs(_)).filter(_ != null)
 
   /** The live rects whose `w×h` box covers `(px, py)`, in arrival order. */
   def covering(px: Double, py: Double, w: Double, h: Double): Iterator[SpatialObj] = {

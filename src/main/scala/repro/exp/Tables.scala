@@ -360,5 +360,5 @@ object Tables {
     )
 
   def pct(v: Double): String   = f"$v%.2f%%"
-  def nanos(v: Double): String = if (v >= 1e6) f"${v / 1e6}%.2f ms" else f"${v / 1e3}%.1f µs"
+  def nanos(v: Double): String = if (v >= 1e6) f"${v / 1e6}%.2f ms" else f"${v / 1e3}%.1f us"
 }

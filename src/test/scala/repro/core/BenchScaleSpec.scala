@@ -7,7 +7,7 @@ import repro.core.topk.KCellCspot
 import repro.data.SpatialStreams
 import repro.stream.EventStream
 
-/** CCS and kCCS on a US stream at the density of perfbench's `ccs-us`
+/** CCS and kCCS (k = 3 and 5) on a US stream at the density of perfbench's `ccs-us`
   * workload (1/4 of the paper's rate) and 2.4 windows long, so that both
   * windows fill and a searched cell holds about a hundred rects; the small
   * `TestGen` streams never fill cells like this.
@@ -65,8 +65,7 @@ class BenchScaleSpec extends AnyFunSuite {
     assert(ccs.stats.sweptRects > 50 * ccs.stats.searches, "cells are not at bench density")
   }
 
-  test("kCCS(3) equals fresh per-cell sweeps at bench density") {
-    val k    = 3
+  for (k <- Seq(3, 5)) test(s"kCCS($k) equals fresh per-cell sweeps at bench density") {
     val det  = new KCellCspot(cfg, k)
     var last = IndexedSeq.empty[Option[BurstyPoint]]
     replay(e => last = det.onEvent(e)) { (live, now) =>

@@ -170,8 +170,13 @@ class CellCspotSpec extends AnyFunSuite with TimeLimits {
       val gone = mutable.ArrayBuffer.empty[SpatialObj]
       def pick(m: mutable.LinkedHashMap[Long, SpatialObj]): SpatialObj = m.valuesIterator.drop(rng.nextInt(m.size)).next()
       def named(o: SpatialObj): SpatialObj = if (rng.nextInt(4) == 0) o.copy() else o
+      // Rect `o` becomes (in)visible while the clock stands still, in the window it is in.
+      def synthetic(o: SpatialObj, insert: Boolean, past: Boolean): Unit = {
+        val d = if (insert) cfg.delta(o.w) else -cfg.delta(o.w)
+        if (past) algo.update(o, 0.0, d) else algo.update(o, d, 0.0)
+      }
       def insert(o: SpatialObj, isPast: Boolean): Unit = {
-        algo.synthetic(o, insert = true, past = isPast)
+        synthetic(o, insert = true, past = isPast)
         (if (isPast) past else cur)(o.id) = o
       }
       var next = 0L
@@ -195,7 +200,7 @@ class CellCspotSpec extends AnyFunSuite with TimeLimits {
           case 5 if live > 0 =>
             val isPast = cur.isEmpty || (past.nonEmpty && rng.nextBoolean())
             val o      = pick(if (isPast) past else cur)
-            algo.synthetic(named(o), insert = false, past = isPast)
+            synthetic(named(o), insert = false, past = isPast)
             (if (isPast) past else cur).remove(o.id); gone += o
           case _ => ()
         }

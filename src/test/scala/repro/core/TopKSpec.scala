@@ -46,6 +46,34 @@ class TopKSpec extends AnyFunSuite {
       }
     }
 
+  // The layers share one cell store: after every event each layer-i view
+  // holds the store's rects minus the live rects of level ≤ i, the layer
+  // reads a private copy exactly where those differ, and a layer left with
+  // no rects answers None.
+  for (seed <- 0 until 5)
+    test(s"kCCS layers are the shared store minus their pinned rects, k=5, seed $seed") {
+      val k    = 5
+      val cfg  = TestGen.cfg(windowMillis = 1200L, alpha = 0.5)
+      val algo = new KCellCspot(cfg, k)
+      var copies, emptyLayers = 0
+      EventStream.fromObjects(TestGen.clusteredStream(seed, 35), cfg.windowMillis).foreach { e =>
+        val got   = algo.onEvent(e)
+        val views = algo.layerCells.toSeq
+        val store = views.collect { case (key, 0, ids, _) => key -> ids }.toMap
+        views.foreach { case (key, i, ids, own) =>
+          val want = store(key).filter(algo.level(_) > i)
+          assert(ids == want, s"at ${e.kind}@${e.at}: layer $i cell $key holds $ids, want $want")
+          assert(own == (want != store(key)), s"at ${e.kind}@${e.at}: layer $i cell $key private copy = $own")
+          if (own) copies += 1
+        }
+        for (i <- 0 until k if views.forall { case (_, j, ids, _) => j != i || ids.isEmpty }) {
+          assert(got(i).isEmpty, s"at ${e.kind}@${e.at}: empty layer $i answers ${got(i)}")
+          emptyLayers += 1
+        }
+      }
+      assert(copies > 0 && emptyLayers > 0)
+    }
+
   // Ties make the greedy vector ambiguous beyond p₁ (which tied point is
   // picked decides what later levels see), so only p₁ is checked here.
   for (alpha <- Seq(0.0, 0.5, 0.9); seed <- 0 until 3)
