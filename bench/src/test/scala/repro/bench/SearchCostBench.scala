@@ -1,5 +1,6 @@
 package repro.bench
 
+import java.lang.management.ManagementFactory
 import scala.util.hashing.MurmurHash3
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
@@ -24,6 +25,14 @@ import repro.stream.EventStream
   * (`Tables.streamFor(US, 8000, 1h)`, seeds 201 and 202) and kCCS(5); for
   * kCCS also rects per search and a fingerprint of the scores alone, which
   * stays put when answers move among tied points.
+  *
+  * The third test prints bytes allocated per event on the event path
+  * (`ThreadMXBean.getCurrentThreadAllocatedBytes` around passes over events
+  * materialised beforehand, after one warm pass): MGAPS `process` and
+  * `process`+`top` on three `mgaps-us` streams (the paper's rate), CCS
+  * `process` and `process`+`query` on three `ccs-us` streams, and kCCS(5)
+  * `onEvent`+`current` on three `kccs5-us` streams. It also prints a hash of
+  * every MGAPS answer's box corner, `fc`, `fp` and score.
   */
 class SearchCostBench extends AnyFunSuite {
   import SearchCostBench.Pass
@@ -114,6 +123,81 @@ class SearchCostBench extends AnyFunSuite {
       println(f"kCCS(5)    stream $r: ${det.searches} searches  $rps%.1f rects/search  hash $hash%016x  " +
               f"scores ${MurmurHash3.finalizeHash(scores, events)}%08x over $events events")
     }
+  }
+
+  private val threads = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+
+  /** Answers are stored here so that no result is optimised away. */
+  private var sink: AnyRef = null
+
+  private def materialised(rateFraction: Double): Seq[(SurgeConfig, Array[Event])] =
+    (0 until 3).map { r =>
+      val (cfg, objs) = stream(rateFraction, r)
+      (cfg, EventStream.fromObjects(objs, cfg.windowMillis).toArray)
+    }
+
+  /** Prints the bytes this thread allocates per event while `run` replays
+    * `streams`: the least of three passes after a warm one, so that a pass
+    * the JIT is still compiling (and not yet removing allocations from)
+    * does not count.
+    */
+  private def bytesPerEvent(what: String, streams: Seq[(SurgeConfig, Array[Event])])
+                           (run: (SurgeConfig, Array[Event]) => Unit): Unit = {
+    streams.foreach(run.tupled)
+    val bytes = (1 to 3).map { _ =>
+      val b0 = threads.getCurrentThreadAllocatedBytes
+      streams.foreach(run.tupled)
+      threads.getCurrentThreadAllocatedBytes - b0
+    }
+    val events = streams.map(_._2.length).sum
+    println(f"$what%-24s ${bytes.min.toDouble / events}%8.1f B/event  over $events events")
+  }
+
+  test("bytes allocated per event on the event path") {
+    assume(threads.isThreadAllocatedMemorySupported && threads.isThreadAllocatedMemoryEnabled)
+    println(f"\n=== Bytes allocated per event (seed $Seed, 3 streams each, drained) ===")
+
+    val mgaps = materialised(1.0)
+    bytesPerEvent("MGAPS process", mgaps) { (cfg, es) =>
+      val det = new MGapSurge(cfg)
+      es.foreach(det.process)
+      sink = det
+    }
+    bytesPerEvent("MGAPS process+top", mgaps) { (cfg, es) =>
+      val det = new MGapSurge(cfg)
+      es.foreach { e => det.process(e); sink = det.top }
+    }
+    val ccs = materialised(0.25)
+    bytesPerEvent("CCS process", ccs) { (cfg, es) =>
+      val det = new CellCspot(cfg, BoundMode.Full)
+      es.foreach(det.process)
+      sink = det
+    }
+    bytesPerEvent("CCS process+query", ccs) { (cfg, es) =>
+      val det = new CellCspot(cfg, BoundMode.Full)
+      es.foreach { e => det.process(e); sink = det.query() }
+    }
+    bytesPerEvent("kCCS(5) onEvent+current", materialised(0.1)) { (cfg, es) =>
+      val det = new KCellCspot(cfg, 5)
+      es.foreach { e => det.onEvent(e); sink = det.current }
+    }
+
+    var hash = 0L
+    var events = 0
+    mgaps.foreach { case (cfg, es) =>
+      val det = new MGapSurge(cfg)
+      es.foreach { e =>
+        det.process(e)
+        hash = det.top match {
+          case None    => hash * 31
+          case Some(c) =>
+            Seq(c.box.x0, c.box.y0, c.fc, c.fp, c.score)
+              .foldLeft(hash)((a, v) => a * 31 + java.lang.Double.doubleToLongBits(v))
+        }
+        events += 1
+      }
+    }
+    println(f"MGAPS answers: hash $hash%016x over $events events")
   }
 }
 

@@ -149,10 +149,12 @@ private[repro] abstract class CspotCell(key: Long, val rects: CellRects) extends
   *
   * A grid of `b×a` cells (Definition 6) partitions the space, and each
   * non-empty cell is a [[CspotCell]]. A [[MaxHeap]] orders cells by their
-  * bound. An event updates the ≤4 affected cells in O(1) each; a query walks
-  * cells in descending bound order, re-sweeping only cells whose candidate
-  * is invalid, and stops as soon as no bound exceeds the best candidate
-  * score found — the lazy update strategy of Section IV-C1.
+  * bound. An event updates the cells its rect touches in O(1) each: ≤ 4 in
+  * general position, up to 9 when the rect's edges lie on grid lines
+  * ([[Grid.foreachCell]]). A query walks cells in descending bound order,
+  * re-sweeping only cells whose candidate is invalid, and stops as soon as
+  * no bound exceeds the best candidate score found — the lazy update
+  * strategy of Section IV-C1.
   *
   * Exactness note: whenever a candidate stays valid under Lemma 4, its
   * tracked score gains exactly the increment applied to `U_d`, so for valid
@@ -199,11 +201,12 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     val obox = cfg.rectBox(o)
     val join = dc + dp > 0
     grid.foreachCell(obox) { key =>
-      val c = if (join) cells.getOrElseUpdate(key, new Cell(key)) else cells.getOrNull(key)
+      var c = cells.getOrNull(key)
+      if (c == null && join) { c = new Cell(key); cells(key) = c }
       if (c != null) {
         c.update(o, obox, dc, dp, cfg, lemma4 = mode != BoundMode.NoBounds)
         if (c.rects.size == 0) {
-          cells.remove(key)
+          cells.subtractOne(key)
           heap.remove(c)
         } else heap.update(c, c.bound)
       }

@@ -36,18 +36,30 @@ final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Dou
     val o   = e.obj
     val d   = cfg.delta(o.w)
     val key = grid.cellOf(o.x, o.y)
-    val c   = cells.getOrElseUpdate(key, new CState(key))
+    var c   = cells.getOrNull(key)
+    if (c == null) { c = new CState(key); cells(key) = c }
     c.fc += e.kind.dCur * d
     c.fp += e.kind.dPast * d
     c.live += e.kind.dCur + e.kind.dPast
-    if (c.live == 0) { cells.remove(key); heap.remove(c) }
+    if (c.live == 0) { cells.subtractOne(key); heap.remove(c) } // `remove` and `-=` box the key
     else heap.update(c, cfg.burst(c.fc, c.fp))
   }
 
   def onEvent(e: Event): Option[CellResult] = { process(e); top }
 
   /** The cell with the maximum burst score (line 6 of Algorithm 3). */
-  def top: Option[CellResult] = Option(heap.top).map(result)
+  def top: Option[CellResult] = {
+    val c = heap.top
+    if (c == null) None else Some(result(c))
+  }
+
+  /** The score of [[top]] (a cell's heap priority is its burst score), or −∞
+    * if no cell is live.
+    */
+  private[core] def topScore: Double = {
+    val c = heap.top
+    if (c == null) Double.NegativeInfinity else c.prio
+  }
 
   /** Top-k cells by burst score (GAP-KSURGE, Algorithm 6). Cells of a single
     * grid are disjoint, so the top-k list is non-overlapping by construction.
@@ -69,21 +81,26 @@ final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Dou
   * remains `(1−α)/4` (Theorem 4) but is much better in practice.
   */
 final class MGapSurge(val cfg: SurgeConfig) {
-  val grids: IndexedSeq[GapSurge] = IndexedSeq(
-    new GapSurge(cfg, 0.0, 0.0),
-    new GapSurge(cfg, cfg.rectW / 2, 0.0),
-    new GapSurge(cfg, 0.0, cfg.rectH / 2),
-    new GapSurge(cfg, cfg.rectW / 2, cfg.rectH / 2),
-  )
+  private val g0 = new GapSurge(cfg, 0.0, 0.0)
+  private val g1 = new GapSurge(cfg, cfg.rectW / 2, 0.0)
+  private val g2 = new GapSurge(cfg, 0.0, cfg.rectH / 2)
+  private val g3 = new GapSurge(cfg, cfg.rectW / 2, cfg.rectH / 2)
 
-  def process(e: Event): Unit = grids.foreach(_.process(e))
+  val grids: IndexedSeq[GapSurge] = IndexedSeq(g0, g1, g2, g3)
+
+  def process(e: Event): Unit = { g0.process(e); g1.process(e); g2.process(e); g3.process(e) }
 
   def onEvent(e: Event): Option[CellResult] = { process(e); top }
 
-  /** Best region among the four grids' top cells. */
+  /** Best region among the four grids' top cells: the grid whose top scores
+    * highest, the lowest-indexed one on a tie. Only the winner builds a result.
+    */
   def top: Option[CellResult] = {
-    val tops = grids.flatMap(_.top)
-    if (tops.isEmpty) None else Some(tops.maxBy(_.score))
+    var best = g0
+    if (g1.topScore > best.topScore) best = g1
+    if (g2.topScore > best.topScore) best = g2
+    if (g3.topScore > best.topScore) best = g3
+    best.top
   }
 
   /** MGAP-KSURGE (Algorithm 7): take the top-4k cells of each grid, merge

@@ -81,14 +81,15 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     val s       = if (e.kind == EventKind.New) 2 * k else lvl(o.id)
     val l       = s >> 1
     val expired = e.kind == EventKind.Expired
-    if (expired) lvl.remove(o.id) else lvl(o.id) = s + e.kind.dPast
+    if (expired) lvl.subtractOne(o.id) else lvl(o.id) = s + e.kind.dPast
     stats.message()
     val d    = cfg.delta(o.w)
     val dc   = e.kind.dCur * d
     val dp   = e.kind.dPast * d
     val obox = cfg.rectBox(o)
     grid.foreachCell(obox) { key =>
-      val c = if (e.kind == EventKind.New) cells.getOrElseUpdate(key, new Cell(key)) else cells(key)
+      var c = if (e.kind == EventKind.New) cells.getOrNull(key) else cells(key)
+      if (c == null) { c = new Cell(key); cells(key) = c }
       c.update(o, obox, dc, dp, cfg, lemma4 = true)
       var i = 0
       while (i < k) {
@@ -98,7 +99,7 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
         v.place()
         i += 1
       }
-      if (c.rects.size == 0) cells.remove(key)
+      if (c.rects.size == 0) cells.subtractOne(key)
     }
 
     released.clear()

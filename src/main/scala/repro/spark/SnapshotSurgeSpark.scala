@@ -7,11 +7,13 @@ import repro.core._
 /** Distributed *exact* SURGE on a snapshot.
   *
   * The SURGE→CSPOT reduction (Section IV-A) plus Definition 6's grid makes
-  * the exact problem embarrassingly parallel: each rectangle object overlaps
-  * ≤4 `b×a` cells, every covered point lies in some cell, and the bursty
-  * point of a cell depends only on the rectangles overlapping that cell.
-  * So: explode each object to its overlapped cells, group by cell, run
-  * SL-CSPOT per group (typed `mapGroups`), and take the global argmax.
+  * the exact problem embarrassingly parallel: each rectangle object touches
+  * ≤ 4 `b×a` cells in general position and up to 9 when its edges lie on
+  * grid lines ([[Grid.foreachCell]]), every covered point lies in some
+  * cell, and the bursty point of a cell depends only on the rectangles
+  * overlapping that cell. So: explode each object to its overlapped cells,
+  * group by cell, run SL-CSPOT per group (typed `mapGroups`), and take the
+  * global argmax.
   */
 object SnapshotSurgeSpark {
 

@@ -74,6 +74,47 @@ class GapSurgeSpec extends AnyFunSuite {
       }
     }
 
+  /** The reference answer: every grid's `top`, then `maxBy` (the first maximum wins). */
+  private def firstBestOfGrids(m: MGapSurge): Option[CellResult] = {
+    val tops = m.grids.flatMap(_.top)
+    if (tops.isEmpty) None else Some(tops.maxBy(_.score))
+  }
+
+  for (seed <- 0 until 10)
+    test(s"MGAPS top equals the first best of the four grids' answers after every event, seed $seed") {
+      // Integer weights on a half-unit lattice: the shifted grids' tops tie often.
+      val cfg   = TestGen.cfg(windowMillis = 5 * TestGen.TiedStep)
+      val mgaps = new MGapSurge(cfg)
+      assert(mgaps.top.isEmpty)
+      var ties = 0
+      EventStream.fromObjects(TestGen.tiedStream(seed, 150), cfg.windowMillis).foreach { e =>
+        mgaps.process(e)
+        val want = firstBestOfGrids(mgaps)
+        assert(mgaps.top == want)
+        want.foreach(w => if (mgaps.grids.count(_.top.exists(_.score == w.score)) > 1) ties += 1)
+      }
+      assert(mgaps.top.isEmpty, "the stream drains to empty")
+      assert(ties > 0, "the stream should make the grids tie")
+    }
+
+  test("MGAPS reports the lowest-indexed grid when two grids' tops tie") {
+    val cfg = TestGen.cfg() // 1×1 cells; grid 1 is shifted by 0.5 in x, grid 2 by 0.5 in y
+    // A and B share a cell only in grid 1, C and D only in grid 2; every other
+    // cell holds one object, so grids 1 and 2 tie above grids 0 and 3.
+    val a = SpatialObj(0, 1.0, 0.9, 0.4, 1000L)
+    val b = SpatialObj(1, 1.0, 1.1, 0.6, 1000L)
+    val c = SpatialObj(2, 1.0, 10.4, 10.9, 1000L)
+    val d = SpatialObj(3, 1.0, 10.6, 11.1, 1000L)
+    for (order <- Seq(Seq(a, b, c, d), Seq(c, d, a, b))) {
+      val mgaps = new MGapSurge(cfg)
+      order.foreach(o => mgaps.process(Event(o, EventKind.New, 1000L)))
+      val scores = mgaps.grids.map(_.top.get.score)
+      assert(scores(1) == scores(2) && scores(1) > scores(0) && scores(1) > scores(3))
+      assert(mgaps.top == mgaps.grids(1).top)
+      assert(mgaps.top.get.box == Box(0.5, 0.0, 1.5, 1.0))
+    }
+  }
+
   test("Lemma 7 tightness construction achieves exactly (1-alpha)/4") {
     // Figure 11: four current objects around the grid corner (0,0) so that a
     // region covering all four exists, while each grid cell holds one current
