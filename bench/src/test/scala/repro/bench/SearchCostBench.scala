@@ -20,8 +20,13 @@ import repro.stream.EventStream
   *
   * Printed per CCS pass over the 12 streams: µs per search (the time of the
   * `query` calls that searched over the searches they made), `process` ns
-  * per event, the search count and a hash of every event's answer. The
-  * second test prints search counts and answer hashes for B-CCS and Base
+  * per event, the search count and a hash of every event's answer; then µs
+  * per search by rects swept, median over the passes. A call that made `n`
+  * searches over `r` rects counts `n` searches of `r/n` rects. The same
+  * split is printed for kCCS(5) on six `kccs5-us` streams, where the timed
+  * call is `onEvent`, so each search also carries its event's updates; the
+  * mean `onEvent` time of events that did not search is printed beside it.
+  * The second test prints search counts and answer hashes for B-CCS and Base
   * (`Tables.streamFor(US, 8000, 1h)`, seeds 201 and 202) and kCCS(5); for
   * kCCS also rects per search and a fingerprint of the scores alone, which
   * stays put when answers move among tied points.
@@ -35,7 +40,7 @@ import repro.stream.EventStream
   * every MGAPS answer's box corner, `fc`, `fp` and score.
   */
 class SearchCostBench extends AnyFunSuite {
-  import SearchCostBench.Pass
+  import SearchCostBench.{Buckets, Pass}
 
   private val Seed    = 201L
   private val Streams = 12
@@ -64,6 +69,7 @@ class SearchCostBench extends AnyFunSuite {
 
   private def ccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): Pass = {
     var searchNs, processNs, events, searches, hash = 0L
+    val bySize = new Buckets
     streams.foreach { case (cfg, objs) =>
       val ccs = new CellCspot(cfg, BoundMode.Full)
       EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
@@ -71,16 +77,41 @@ class SearchCostBench extends AnyFunSuite {
         ccs.process(e)
         val t1 = System.nanoTime()
         val before = ccs.stats.searches
+        val swept  = ccs.stats.sweptRects
         val p = ccs.query()
         val t2 = System.nanoTime()
         processNs += t1 - t0
-        if (ccs.stats.searches > before) searchNs += t2 - t1
+        if (ccs.stats.searches > before) {
+          searchNs += t2 - t1
+          bySize.add(ccs.stats.searches - before, ccs.stats.sweptRects - swept, t2 - t1)
+        }
         events += 1
         hash = mix(hash, p)
       }
       searches += ccs.stats.searches
     }
-    Pass(searchNs / 1e3 / searches, processNs.toDouble / events, searches, hash)
+    Pass(searchNs / 1e3 / searches, processNs.toDouble / events, searches, hash, bySize)
+  }
+
+  /** One timed kCCS(5) pass: searches by size, and the mean ns of an
+    * `onEvent` that did not search.
+    */
+  private def kccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): (Buckets, Double) = {
+    val bySize = new Buckets
+    var quietNs, quiet = 0L
+    streams.foreach { case (cfg, objs) =>
+      val det = new KCellCspot(cfg, 5)
+      EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
+        val before = det.stats.searches
+        val swept  = det.stats.sweptRects
+        val t0 = System.nanoTime()
+        det.onEvent(e)
+        val dt = System.nanoTime() - t0
+        if (det.stats.searches > before) bySize.add(det.stats.searches - before, det.stats.sweptRects - swept, dt)
+        else { quietNs += dt; quiet += 1 }
+      }
+    }
+    (bySize, quietNs.toDouble / quiet)
   }
 
   test("SL-CSPOT search cost inside CCS at ccs-us density") {
@@ -94,7 +125,18 @@ class SearchCostBench extends AnyFunSuite {
     }
     val med = passes.sortBy(_.searchUs).apply(Passes / 2)
     println(f"median: ${med.searchUs}%.1f us/search, ${passes.map(_.processNs).sorted.apply(Passes / 2)}%.0f ns/process")
+    println(Buckets.report(passes.map(_.bySize)))
     assert(passes.map(p => (p.searches, p.hash)).distinct.size == 1, "passes disagree")
+  }
+
+  test("SL-CSPOT search cost inside kCCS(5) at kccs5-us density") {
+    val streams = (0 until 6).map(stream(0.1, _))
+    kccsPass(streams.take(2)) // warm-up
+    val passes = (1 to Passes).map(_ => kccsPass(streams))
+    println(f"\n=== kCCS(5) on 6 US streams (seed $Seed, ${streams.head._2.size} objects each) ===")
+    println(f"onEvent without a search: ${passes.map(_._2).sorted.apply(Passes / 2) / 1e3}%.2f us (median)")
+    println(Buckets.report(passes.map(_._1)))
+    assert(passes.map(_._1.searches.sum).distinct.size == 1, "passes disagree")
   }
 
   test("answer fingerprints of B-CCS, Base and kCCS(5)") {
@@ -203,5 +245,34 @@ class SearchCostBench extends AnyFunSuite {
 
 object SearchCostBench {
   /** One CCS pass over the streams. */
-  final case class Pass(searchUs: Double, processNs: Double, searches: Long, hash: Long)
+  final case class Pass(searchUs: Double, processNs: Double, searches: Long, hash: Long, bySize: Buckets)
+
+  /** Timed searches by rects swept per search. */
+  final class Buckets {
+    val ns       = new Array[Long](Buckets.Upper.length)
+    val searches = new Array[Long](Buckets.Upper.length)
+
+    /** A call that made `n` searches over `rects` rects in `dt` ns. */
+    def add(n: Long, rects: Long, dt: Long): Unit = {
+      val b = Buckets.Upper.indexWhere(rects.toDouble / n <= _)
+      ns(b) += dt
+      searches(b) += n
+    }
+  }
+
+  object Buckets {
+    private val Upper = Array(8.0, 32.0, 128.0, Double.PositiveInfinity)
+    private val Names = Array("1-8", "9-32", "33-128", ">128")
+
+    /** One line: µs per search in each bucket, median over `passes`, and
+      * the bucket's share of the searches.
+      */
+    def report(passes: Seq[Buckets]): String = {
+      val total = passes.head.searches.sum.toDouble
+      Names.indices.map { b =>
+        val us = passes.map(p => if (p.searches(b) == 0) 0.0 else p.ns(b) / 1e3 / p.searches(b)).sorted
+        f"${Names(b)} rects: ${us(us.size / 2)}%.2f us/search (${100 * passes.head.searches(b) / total}%.1f%%)"
+      }.mkString("by size: ", "  ", "")
+    }
+  }
 }

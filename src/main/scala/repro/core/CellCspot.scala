@@ -56,11 +56,17 @@ private[repro] object SearchRegion {
     * bound, re-search each invalid one and re-queue it at its new bound, and
     * stop as soon as no bound exceeds the best valid candidate. Popped
     * regions are put back, so the call is idempotent. A valid top that no
-    * bound below it exceeds is the answer at once, with no pop.
+    * bound below it exceeds is the answer at once, with no pop; the loop is
+    * a method of its own, so that a caller that inlines `best` takes in only
+    * this check.
     */
   def best[R <: SearchRegion](heap: MaxHeap[R]): Option[BurstyPoint] = {
+    val r = heap.top
+    if (r != null && r.candValid && heap.belowTop <= r.cand.score + 1e-9) Some(r.cand) else search(heap)
+  }
+
+  private def search[R <: SearchRegion](heap: MaxHeap[R]): Option[BurstyPoint] = {
     var r = heap.top
-    if (r != null && r.candValid && heap.belowTop <= r.cand.score + 1e-9) return Some(r.cand)
     var best: BurstyPoint = null
     var stash: ArrayBuffer[R] = null
     while (r != null && (best == null || r.prio > best.score + 1e-9)) {
@@ -74,7 +80,10 @@ private[repro] object SearchRegion {
       }
       r = heap.top
     }
-    if (stash != null) stash.foreach(r => heap.update(r, r.bound))
+    if (stash != null) {
+      var i = 0
+      while (i < stash.length) { val s = stash(i); heap.update(s, s.bound); i += 1 }
+    }
     Option(best)
   }
 }

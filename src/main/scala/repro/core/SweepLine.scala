@@ -22,11 +22,17 @@ package repro.core
   * reaches its top edge and taken out once the line is strictly below its
   * bottom edge. For every α ∈ [0,1) the burst score is
   * `S = max(f_c − α·f_p, (1−α)·f_c)`, and both terms are linear in
-  * `(f_c, f_p)`, so a segment tree over the candidate xs that keeps both
-  * maxima per node (the MaxRS sweep) does each range add in `O(log n)` and
-  * gives a row's best score at its root: `O(n log n)` per invocation, where
-  * the paper's Algorithm 1 rescans every candidate x on every row in
-  * `O(n²)`.
+  * `(f_c, f_p)`. A range add is two steps of the prefix sums (`+d` at its
+  * first candidate x, `−d` after its last), so a [[MaxTree]] over per-leaf
+  * steps that keeps the best prefix of both terms per node does each add in
+  * `O(log n)` and gives a row's best score at its root: `O(n log n)` per
+  * invocation, where the paper's Algorithm 1 rescans every candidate x on
+  * every row in `O(n²)`. A step at the first candidate goes to a base
+  * outside the tree and none is needed after the last, and a `b×a` rect
+  * that meets a `b×a` box contains one of the box's x-edges, so for a cell
+  * box or a rect-sized one every add and remove is one root walk. The rects
+  * whose top edge is the box's top are in at the first row: their steps go
+  * straight into the leaves and the tree is built once, in `O(n)`.
   *
   * The sweep reads rects as [[SweepLine.Columns]] whose positions are kept
   * in order of corner x and of corner y. Every rect has the same `b×a` size,
@@ -165,11 +171,15 @@ object SweepLine {
 
     // Rows run top-down. A rect is added at the row of its top edge and
     // removed at the first row below its bottom edge; both rows fall as `y`
-    // rises, so walking `fy` downwards visits each kind in row order.
+    // rises, so walking `fy` downwards visits each kind in row order. The
+    // first row's rects (clipped top at the box's top) are loaded before the
+    // tree is built.
     val tree = ws.tree
     tree.reset(2 * kx - 1, cfg.alpha)
-    var best: BurstyPoint = null
     var add = m - 1
+    while (add >= 0 && ws.yh(fy(add)) == ky - 1) { edge(c, fy(add), 1.0, ws); add -= 1 }
+    tree.build()
+    var best: BurstyPoint = null
     var rem = m - 1
     var row = 0
     while (row < rows) {
@@ -265,87 +275,111 @@ object SweepLine {
   private def coord(edges: Array[Double], p: Int): Double =
     if ((p & 1) == 0) edges(p >> 1) else (edges(p >> 1) + edges((p >> 1) + 1)) / 2
 
-  /** Range-add segment tree over `m` leaves, each holding `(f_c, f_p)`.
-    * A node keeps its own adds `addC`/`addP` (never pushed down) and the
-    * maxima over its subtree of `f_c − α·f_p` (`mxA`) and of `(1−α)·f_c`
-    * (`mxB`), counting the adds at the node and below it. Padding leaves are
-    * −∞, so they never win. [[reset]] empties it for a new sweep, reusing
-    * its arrays.
+  /** Max-prefix tree over `m` leaves. Leaf `j` holds a step `(w_c, w_p)`,
+    * and `(f_c, f_p)` at leaf `j` is a base plus the steps at leaves `1..j`
+    * (leaf 0's step is the base, kept outside the tree). Node `v` keeps, at
+    * `t(4v)` to `t(4v + 3)`, its leaves' step sums `sc` and `sp` and the best
+    * prefix within its leaves of `f_c − α·f_p` (`pa`) and of `(1−α)·f_c`
+    * (`pb`), so a node is recomputed from its two children, which sit in
+    * adjacent slots. Padding leaves have prefixes −∞, so they never win.
+    *
+    * [[reset]] empties it for a new sweep, reusing its array. Until [[build]]
+    * an [[add]] only records its steps; after it, each step walks from its
+    * leaf to the root.
     */
   private final class MaxTree {
     private var size  = 1
+    private var m     = 1
     private var alpha = 0.0
-    private var addC  = new Array[Double](2)
-    private var addP  = new Array[Double](2)
-    private var mxA   = new Array[Double](2)
-    private var mxB   = new Array[Double](2)
+    private var built = false
+    private var baseC = 0.0
+    private var baseP = 0.0
+    private var t     = new Array[Double](8)
 
     /** `(f_c, f_p)` of the leaf the last [[argmax]] returned. */
     var fc, fp = 0.0
 
     /** Empties the tree and sizes it for `m` leaves. */
     def reset(m: Int, alpha: Double): Unit = {
+      this.m = m
       this.alpha = alpha
       size = if (m <= 1) 1 else Integer.highestOneBit(m - 1) << 1
-      if (addC.length < 2 * size) {
-        addC = new Array[Double](2 * size); addP = new Array[Double](2 * size)
-        mxA = new Array[Double](2 * size); mxB = new Array[Double](2 * size)
-      }
-      java.util.Arrays.fill(addC, 0, 2 * size, 0.0)
-      java.util.Arrays.fill(addP, 0, 2 * size, 0.0)
-      java.util.Arrays.fill(mxA, size, size + m, 0.0)
-      java.util.Arrays.fill(mxB, size, size + m, 0.0)
-      java.util.Arrays.fill(mxA, size + m, 2 * size, Double.NegativeInfinity)
-      java.util.Arrays.fill(mxB, size + m, 2 * size, Double.NegativeInfinity)
-      var v = size - 1
+      if (t.length < 8 * size) t = new Array[Double](8 * size)
+      java.util.Arrays.fill(t, 4 * size, 8 * size, 0.0)
+      baseC = 0.0; baseP = 0.0
+      built = false
+    }
+
+    /** Computes every node from the recorded steps, bottom-up. */
+    def build(): Unit = {
+      var v = size
+      while (v < 2 * size) { leaf(v); v += 1 }
+      v = size - 1
       while (v >= 1) { pull(v); v -= 1 }
+      built = true
     }
 
     /** The best burst score over all leaves. */
-    def max: Double = math.max(mxA(1), mxB(1))
+    def max: Double = math.max(t(6) + (baseC - alpha * baseP), t(7) + (1 - alpha) * baseC)
 
-    /** Adds `(dc, dp)` to leaves `lo..hi`: to the nodes covering the range
-      * bottom-up, then pulls the two boundary paths up to the root.
+    /** Adds `(dc, dp)` to leaves `lo..hi`: a step at `lo` and its negation
+      * at `hi + 1`, none past the last leaf.
       */
     def add(lo: Int, hi: Int, dc: Double, dp: Double): Unit = {
-      var l = lo + size
-      var r = hi + size + 1
-      while (l < r) {
-        if ((l & 1) == 1) { addC(l) += dc; addP(l) += dp; pull(l); l += 1 }
-        if ((r & 1) == 1) { r -= 1; addC(r) += dc; addP(r) += dp; pull(r) }
-        l >>= 1; r >>= 1
+      if (lo == 0) { baseC += dc; baseP += dp } else step(lo, dc, dp)
+      if (hi + 1 < m) step(hi + 1, -dc, -dp)
+    }
+
+    private def step(j: Int, dc: Double, dp: Double): Unit = {
+      var v = size + j
+      t(4 * v) += dc
+      t(4 * v + 1) += dp
+      if (built) {
+        leaf(v)
+        v >>= 1
+        while (v >= 1) { pull(v); v >>= 1 }
       }
-      l = (lo + size) >> 1
-      r = (hi + size) >> 1
-      while (l != r) { pull(l); pull(r); l >>= 1; r >>= 1 }
-      while (l >= 1) { pull(l); l >>= 1 }
+    }
+
+    private def leaf(v: Int): Unit = {
+      val i = 4 * v
+      if (v - size < m) {
+        t(i + 2) = t(i) - alpha * t(i + 1)
+        t(i + 3) = (1 - alpha) * t(i)
+      } else {
+        t(i + 2) = Double.NegativeInfinity
+        t(i + 3) = Double.NegativeInfinity
+      }
     }
 
     private def pull(v: Int): Unit = {
-      val a = if (v >= size) 0.0 else math.max(mxA(2 * v), mxA(2 * v + 1))
-      val b = if (v >= size) 0.0 else math.max(mxB(2 * v), mxB(2 * v + 1))
-      mxA(v) = a + (addC(v) - alpha * addP(v))
-      mxB(v) = b + (1 - alpha) * addC(v)
+      val i  = 4 * v
+      val l  = 8 * v
+      val lc = t(l)
+      val lp = t(l + 1)
+      t(i) = lc + t(l + 4)
+      t(i + 1) = lp + t(l + 5)
+      t(i + 2) = math.max(t(l + 2), (lc - alpha * lp) + t(l + 6))
+      t(i + 3) = math.max(t(l + 3), (1 - alpha) * lc + t(l + 7))
     }
 
-    /** The leftmost leaf with the best score. A child's maxima exclude its
-      * ancestors' adds, so each term gets its own offset before the children
-      * are compared.
+    /** The leftmost leaf with the best score, found by walking down with
+      * the sums of the steps left of the current node.
       */
     def argmax(): Int = {
       var v = 1
-      var c = addC(1)
-      var p = addP(1)
+      var c = baseC
+      var p = baseP
       while (v < size) {
-        val offA = c - alpha * p
-        val offB = (1 - alpha) * c
-        val l    = 2 * v
-        val sl   = math.max(mxA(l) + offA, mxB(l) + offB)
-        val sr   = math.max(mxA(l + 1) + offA, mxB(l + 1) + offB)
-        v = if (sr > sl) l + 1 else l
-        c += addC(v); p += addP(v)
+        val l  = 8 * v
+        val sl = math.max(t(l + 2) + (c - alpha * p), t(l + 3) + (1 - alpha) * c)
+        val rc = c + t(l)
+        val rp = p + t(l + 1)
+        val sr = math.max(t(l + 6) + (rc - alpha * rp), t(l + 7) + (1 - alpha) * rc)
+        v = 2 * v
+        if (sr > sl) { v += 1; c = rc; p = rp }
       }
-      fc = c; fp = p
+      fc = c + t(4 * v); fp = p + t(4 * v + 1)
       v - size
     }
   }

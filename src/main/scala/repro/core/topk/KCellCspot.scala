@@ -65,7 +65,10 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
 
     def search(): Unit = {
       cell.search()
-      if (own == null) shared.views.foreach(v => if (v.own == null) v.place())
+      if (own == null) {
+        var i = 0
+        while (i < k) { val v = shared.views(i); if (v.own == null) v.place(); i += 1 }
+      }
     }
 
     /** Re-keys this view in its layer's heap; an empty copy leaves it. */
@@ -126,7 +129,8 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
           def pin(r: SpatialObj): Unit =
             if (lvl(r.id) >> 1 > i && cfg.rectBox(r).contains(bp.x, bp.y)) setLevel(r, i)
           if (e.kind == EventKind.New) pin(o)
-          released.foreach(pin)
+          var j = 0
+          while (j < released.length) { pin(released(j)); j += 1 }
         }
       }
       i += 1

@@ -13,6 +13,8 @@ import repro.stream.EventStream
   * `TestGen` streams never fill cells like this.
   * At sampled events every reported score must equal a fresh per-cell
   * SL-CSPOT over the live set, up to a tolerance relative to the score.
+  * That reference sweeps with the same kernel as the detectors, so CCS's
+  * answer is also re-scored by [[BruteForce]] over the cell holding it.
   */
 class BenchScaleSpec extends AnyFunSuite {
   private val spec    = SpatialStreams.US.copy(seed = 201L * 1000003L)
@@ -55,9 +57,17 @@ class BenchScaleSpec extends AnyFunSuite {
     val ccs  = new CellCspot(cfg, BoundMode.Full)
     var last = Option.empty[BurstyPoint]
     var checked = 0
+    val grid = new Grid(cfg.rectW, cfg.rectH)
     replay(e => last = ccs.onEvent(e)) { (live, now) =>
       val want = fresh(live, now)
       assert(agree(last.map(_.score), want), s"at $now: CCS $last, fresh $want")
+      // The best point of the answer's cell is the best point overall.
+      for (p <- last) {
+        val box = grid.cellBox(grid.cellOf(p.x, p.y))
+        assert(box.contains(p.x, p.y))
+        val brute = BruteForce.burstyPoint(live, now, cfg, Some(box)).map(_.score)
+        assert(agree(Some(p.score), brute), s"at $now: CCS $p, brute force over $box $brute")
+      }
       checked += 1
     }
     assert(checked == samples)

@@ -129,6 +129,43 @@ class SweepLineSpec extends AnyFunSuite {
       assert(math.abs(check.fc - s.fc) < 1e-9 && math.abs(check.fp - s.fp) < 1e-9)
     }
 
+  // The cases above keep `w/|W|` exact or draw continuous weights. Here
+  // integer weights over a 7 s or a 5 h window make every `w/|W|` inexact,
+  // so sums drift with their order. Every rect meets the cell-sized box
+  // `cell`; half sit on a lattice of half-rect steps, so some edges lie
+  // exactly on the box's edges (one-leaf ranges at both ends). The interior
+  // box is 2.5 rects wide and holds rects that contain neither of its
+  // x-edges, which need two steps.
+  for ((n, window) <- Seq(120 -> 7000L, 200 -> 5 * 3600000L); alpha <- Seq(0.0, 0.5, 0.9))
+    test(s"matches brute force with inexact weights, $n rects, |W| = $window ms, alpha $alpha") {
+      val rng  = new Random(n + window)
+      // Sizes in 64ths keep the lattice, and so its edges, exact.
+      val cfg  = TestGen.cfg(windowMillis = window, alpha = alpha,
+                             rectW = (20 + rng.nextInt(25)) / 64.0, rectH = (20 + rng.nextInt(25)) / 64.0)
+      val (b, a) = (cfg.rectW, cfg.rectH)
+      val now  = 10 * window
+      val cell = Box(1.0, 2.0, 1.0 + b, 2.0 + a)
+      val objs = (0 until n).map { i =>
+        val (x, y) =
+          if (i % 2 == 0) (cell.x0 + b * (rng.nextInt(5) - 2) / 2, cell.y0 + a * (rng.nextInt(5) - 2) / 2)
+          else (cell.x0 + b * (2 * rng.nextDouble() - 1), cell.y0 + a * (2 * rng.nextDouble() - 1))
+        SpatialObj(i.toLong, 1.0 + rng.nextInt(100), x, y, now - (rng.nextDouble() * 2 * window).toLong)
+      }
+      val interior = Box(cell.x0 - 0.75 * b, cell.y0 - 0.75 * a, cell.x0 + 1.75 * b, cell.y0 + 1.75 * a)
+      for (box <- Seq(cell, interior)) {
+        val r = SweepLine.burstyPoint(objs, box, now, cfg)
+        assert(r.rectCount == n, s"box $box")
+        val s = r.point.get
+        val want = BruteForce.burstyPoint(objs, now, cfg, Some(box)).get
+        val tol  = 1e-9 * math.max(1.0, want.score)
+        assert(box.contains(s.x, s.y), s"point outside $box: $s")
+        assert(math.abs(s.score - want.score) <= tol, s"box $box: sweep=${s.score} brute=${want.score}")
+        val check = BruteForce.scoreAt(objs, now, cfg, s.x, s.y)
+        assert(math.abs(check.fc - s.fc) <= 1e-9 * math.max(1.0, check.fc) &&
+                 math.abs(check.fp - s.fp) <= 1e-9 * math.max(1.0, check.fp), s"box $box: $s vs $check")
+      }
+    }
+
   /** Sorted distinct values plus the midpoint of each consecutive pair. */
   private def candidates(edges: Seq[Double]): Seq[Double] = {
     val e = edges.distinct.sorted
