@@ -20,9 +20,13 @@ import repro.stream.EventStream
   *
   * Printed per CCS pass over the 12 streams: µs per search (the time of the
   * `query` calls that searched over the searches they made), `process` ns
-  * per event, the search count and a hash of every event's answer; then µs
-  * per search by rects swept, median over the passes. A call that made `n`
-  * searches over `r` rects counts `n` searches of `r/n` rects. The same
+  * per event, the search count, a hash of every event's answer and a
+  * fingerprint of the answers' scores alone (which stays put when answers
+  * move among tied points). Then, median over the passes, µs per search by
+  * rects swept, and the searches by the number of a cell's strips they
+  * swept, with the µs per search of the `query` calls that made one such
+  * search. A call that made `n` searches over `r` rects counts `n`
+  * searches of `r/n` rects. The same
   * split is printed for kCCS(5) on six `kccs5-us` streams, where the timed
   * call is `onEvent`, so each search also carries its event's updates; the
   * mean `onEvent` time of events that did not search is printed beside it.
@@ -69,10 +73,15 @@ class SearchCostBench extends AnyFunSuite {
 
   private def ccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): Pass = {
     var searchNs, processNs, events, searches, hash = 0L
-    val bySize = new Buckets
+    var scores = 0
+    val bySize   = new Buckets
+    val byStrips = new Array[Long](CspotCell.Strips + 1)
+    val oneNs    = new Array[Long](CspotCell.Strips + 1)
+    val one      = new Array[Long](CspotCell.Strips + 1)
     streams.foreach { case (cfg, objs) =>
       val ccs = new CellCspot(cfg, BoundMode.Full)
       EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
+        val strips = stripsSwept(ccs.stats)
         val t0 = System.nanoTime()
         ccs.process(e)
         val t1 = System.nanoTime()
@@ -84,13 +93,30 @@ class SearchCostBench extends AnyFunSuite {
         if (ccs.stats.searches > before) {
           searchNs += t2 - t1
           bySize.add(ccs.stats.searches - before, ccs.stats.sweptRects - swept, t2 - t1)
+          if (ccs.stats.searches == before + 1) {
+            val n = (stripsSwept(ccs.stats) - strips).toInt
+            oneNs(n) += t2 - t1
+            one(n) += 1
+          }
         }
         events += 1
         hash = mix(hash, p)
+        scores = mixScores(scores, p :: Nil)
       }
       searches += ccs.stats.searches
+      byStrips.indices.foreach(i => byStrips(i) += ccs.stats.byStrips(i))
     }
-    Pass(searchNs / 1e3 / searches, processNs.toDouble / events, searches, hash, bySize)
+    Pass(searchNs / 1e3 / searches, processNs.toDouble / events, searches, hash,
+         MurmurHash3.finalizeHash(scores, events.toInt), bySize, byStrips.toSeq,
+         oneNs.indices.map(n => if (one(n) == 0) 0.0 else oneNs(n) / 1e3 / one(n)))
+  }
+
+  /** The strips swept by all of `s`'s searches so far. */
+  private def stripsSwept(s: CspotStats): Long = {
+    var t = 0L
+    var n = 1
+    while (n < s.byStrips.length) { t += n * s.byStrips(n); n += 1 }
+    t
   }
 
   /** One timed kCCS(5) pass: searches by size, and the mean ns of an
@@ -121,12 +147,16 @@ class SearchCostBench extends AnyFunSuite {
     println(f"\n=== CCS on $Streams US streams (seed $Seed, ${streams.head._2.size} objects each) ===")
     passes.zipWithIndex.foreach { case (p, i) =>
       println(f"pass ${i + 1}: ${p.searchUs}%.1f us/search  ${p.processNs}%.0f ns/process  " +
-              f"${p.searches} searches  hash ${p.hash}%016x")
+              f"${p.searches} searches  hash ${p.hash}%016x  scores ${p.scores}%08x")
     }
     val med = passes.sortBy(_.searchUs).apply(Passes / 2)
     println(f"median: ${med.searchUs}%.1f us/search, ${passes.map(_.processNs).sorted.apply(Passes / 2)}%.0f ns/process")
     println(Buckets.report(passes.map(_.bySize)))
-    assert(passes.map(p => (p.searches, p.hash)).distinct.size == 1, "passes disagree")
+    println((1 to CspotCell.Strips).map { n =>
+      val us = passes.map(_.oneUs(n)).sorted.apply(Passes / 2)
+      f"$n: ${med.byStrips(n)} ($us%.2f us)"
+    }.mkString("searches by strips swept (us/search of one-search queries): ", "  ", ""))
+    assert(passes.map(p => (p.searches, p.hash, p.scores, p.byStrips)).distinct.size == 1, "passes disagree")
   }
 
   test("SL-CSPOT search cost inside kCCS(5) at kccs5-us density") {
@@ -245,7 +275,8 @@ class SearchCostBench extends AnyFunSuite {
 
 object SearchCostBench {
   /** One CCS pass over the streams. */
-  final case class Pass(searchUs: Double, processNs: Double, searches: Long, hash: Long, bySize: Buckets)
+  final case class Pass(searchUs: Double, processNs: Double, searches: Long, hash: Long, scores: Int,
+                        bySize: Buckets, byStrips: Seq[Long], oneUs: Seq[Double])
 
   /** Timed searches by rects swept per search. */
   final class Buckets {

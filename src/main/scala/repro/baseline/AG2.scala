@@ -51,7 +51,7 @@ final class AG2(val cfg: SurgeConfig) {
       // A view that knows its size, so the sweep sizes its arrays without a pass.
       val group = new View.Map(nbrs, (id: Long) => nodes(id).o) ++ new View.Single(o)
       val res   = SweepLine.burstyPoint(group, cfg.rectBox(o), cfg, winOf, ws)
-      stats.search(res.rectCount)
+      stats.search(res)
       cand = res.point.getOrElse(BurstyPoint(o.x, o.y, 0.0, 0.0, 0.0))
       candValid = true
     }

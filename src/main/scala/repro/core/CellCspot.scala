@@ -22,20 +22,26 @@ final class CspotStats {
   var messagesWithSearch: Long = 0L
   var searches: Long = 0L
   var sweptRects: Long = 0L
+  /** Searches by the number of strips they swept (index 1 to [[CspotCell.Strips]]). */
+  val byStrips = new Array[Long](CspotCell.Strips + 1)
   // `messages` when `messagesWithSearch` last counted, so a message counts once
   private var searchedAt: Long = 0L
 
   /** A message was processed. */
   def message(): Unit = messages += 1
 
-  /** One SL-CSPOT search over `rects` rects, made for the latest message. */
-  def search(rects: Int): Unit = {
+  /** One SL-CSPOT search, made for the latest message. */
+  def search(res: SweepLine.SweepResult): Unit = {
     searches += 1
-    sweptRects += rects
+    sweptRects += res.rectCount
+    byStrips(res.strips) += 1
     if (searchedAt != messages) { messagesWithSearch += 1; searchedAt = messages }
   }
 
-  def reset(): Unit = { messages = 0; messagesWithSearch = 0; searches = 0; sweptRects = 0; searchedAt = 0 }
+  def reset(): Unit = {
+    messages = 0; messagesWithSearch = 0; searches = 0; sweptRects = 0; searchedAt = 0
+    java.util.Arrays.fill(byStrips, 0L)
+  }
   def searchRatio: Double =
     if (messages == 0) 0.0 else messagesWithSearch.toDouble / messages
 }
@@ -89,20 +95,25 @@ private[repro] object SearchRegion {
 }
 
 /** A grid cell of Algorithm 2 and its search state:
-  *  - the rectangle objects overlapping it across `W_c ∪ W_p`,
+  *  - the rectangle objects overlapping its closed `box` across `W_c ∪ W_p`,
   *  - the static upper bound `U_s` of Eqn 2, maintained incrementally,
-  *  - the dynamic upper bound `U_d` of Eqn 3 (+∞ until the first search),
-  *  - a candidate point (the last SL-CSPOT result) whose per-window scores
-  *    are tracked incrementally and whose validity follows Lemma 4.
+  *  - the dynamic upper bound `U_d` of Eqn 3, kept per equal horizontal
+  *    strip of `box` (`strips` of them) from the first search on, and +∞
+  *    until then; `ud` is the largest,
+  *  - a candidate point whose per-window scores are tracked incrementally.
+  *    It is valid (the cell's best) while its score reaches `ud`.
   *
   * Window membership is *event-driven*: a rect is Past from the update that
   * adds its weight to `W_p` until the one that takes it out. This keeps
   * searches consistent with the incrementally tracked bounds and candidates
   * when several events share one firing timestamp.
   */
-private[repro] abstract class CspotCell(key: Long, val rects: CellRects) extends SearchRegion(key) {
+private[repro] abstract class CspotCell(key: Long, val rects: CellRects, val box: Box, strips: Int)
+    extends SearchRegion(key) {
   var us: Double = 0.0
   var ud: Double = Double.PositiveInfinity
+  // `U_d` per strip, bottom to top; allocated at the first sweep.
+  var uds: Array[Double] = _
   var cand: BurstyPoint = _
   var candValid: Boolean = false
 
@@ -114,13 +125,15 @@ private[repro] abstract class CspotCell(key: Long, val rects: CellRects) extends
     *  - `o` joins the cell when `dc + dp > 0` and leaves when `< 0`;
     *  - `o` is Past from `dp > 0` until `dp < 0`;
     *  - `U_s` (Eqn 2) moves by `dc`;
-    *  - `U_d` (Eqn 3) grows by the largest rise of `S = max(f_c − α·f_p,
-    *    (1−α)·f_c)` any covered point can see, and never shrinks;
+    *  - `U_d` (Eqn 3) of every strip `o` meets grows by the largest rise of
+    *    `S = max(f_c − α·f_p, (1−α)·f_c)` any covered point can see;
     *  - the candidate's tracked scores move by `(dc, dp)` if `o` covers it;
-    *  - Lemma 4 (conservative form, on pre-update scores): after a rise
-    *    (`dc > 0` or `dp < 0`) the candidate stays the cell's best iff `o`
-    *    covers it and `f_c ≥ f_p` there; after a fall iff `o` misses it.
-    *    Without `lemma4` (Base) no candidate stays valid across an update.
+    *  - Lemma 4: the candidate is valid iff its score reaches `ud`. With one
+    *    strip a candidate, once invalid, stays so until the next search;
+    *    with more, a rect that misses it invalidates it only by lifting a
+    *    strip above its score, and its own later rises can overtake that
+    *    strip again. Without `lemma4` (Base) no candidate stays valid across
+    *    an update.
     */
   final def update(o: SpatialObj, obox: Box, dc: Double, dp: Double, cfg: SurgeConfig, lemma4: Boolean): Unit = {
     val size = dc + dp
@@ -128,30 +141,48 @@ private[repro] abstract class CspotCell(key: Long, val rects: CellRects) extends
     else if (size < 0) rects.remove(o)
     else if (dp > 0) rects.grow(o)
     us += dc
-    ud += math.max(0.0, math.max(dc - cfg.alpha * dp, (1 - cfg.alpha) * dc))
+    val rise = math.max(0.0, math.max(dc - cfg.alpha * dp, (1 - cfg.alpha) * dc))
+    if (rise > 0 && uds != null) {
+      var s = SweepLine.stripLo(math.max(obox.y0, box.y0), box, strips)
+      val e = SweepLine.stripHi(math.min(obox.y1, box.y1), box, strips)
+      while (s <= e) { uds(s) += rise; ud = math.max(ud, uds(s)); s += 1 }
+    }
     if (cand != null) {
-      val covered = obox.contains(cand.x, cand.y)
-      val pre     = cand.fc - cand.fp
-      if (covered) {
+      if (obox.contains(cand.x, cand.y)) {
         val fc = cand.fc + dc
         val fp = cand.fp + dp
         cand = BurstyPoint(cand.x, cand.y, fc, fp, cfg.burst(fc, fp))
       }
-      if (candValid)
-        candValid = lemma4 && (if (dc > 0 || dp < 0) covered && pre >= -1e-9 else !covered)
+      candValid = lemma4 && cand.score >= ud
     }
   }
 
-  /** SL-CSPOT over the rects within this cell's `box`: its answer is the
-    * new valid candidate, and `U_d` falls to its score.
+  /** SL-CSPOT over the strips that can hold a point better than the
+    * candidate, or over the whole cell if it has no candidate yet or only
+    * one strip (B-CCS, Base). The better of the candidate and the sweep's
+    * point is the new candidate; a swept strip's `U_d` falls to its best
+    * row, and every strip is clamped to the candidate's score, so the
+    * candidate is valid.
     */
-  final def sweep(box: Box, cfg: SurgeConfig, ws: SweepLine.Workspace, stats: CspotStats): Unit = {
-    val res = rects.sweep(box, cfg, ws)
-    stats.search(res.rectCount)
-    cand = res.point.getOrElse(BurstyPoint(box.x0, box.y0, 0.0, 0.0, 0.0))
-    candValid = true
-    ud = cand.score
+  final def sweep(cfg: SurgeConfig, ws: SweepLine.Workspace, stats: CspotStats): Unit = {
+    if (uds == null) uds = new Array[Double](strips)
+    val t   = if (cand == null || strips == 1) Double.NegativeInfinity else cand.score
+    val res = rects.sweep(box, cfg, ws, uds, t)
+    stats.search(res)
+    val p = res.point
+    if (t == Double.NegativeInfinity) cand = p.getOrElse(BurstyPoint(box.x0, box.y0, 0.0, 0.0, 0.0))
+    else if (p.isDefined && p.get.score > t) cand = p.get
+    ud = Double.NegativeInfinity
+    var s = 0
+    while (s < strips) { uds(s) = math.min(uds(s), cand.score); ud = math.max(ud, uds(s)); s += 1 }
+    candValid = cand.score >= ud
   }
+}
+
+private[repro] object CspotCell {
+
+  /** The strips of a CCS or kCCS cell. */
+  val Strips = 8
 }
 
 /** Cell-CSPOT (Algorithm 2): exact continuous bursty-point detection.
@@ -165,9 +196,10 @@ private[repro] abstract class CspotCell(key: Long, val rects: CellRects) extends
   * no bound exceeds the best candidate score found — the lazy update
   * strategy of Section IV-C1.
   *
-  * Exactness note: whenever a candidate stays valid under Lemma 4, its
-  * tracked score gains exactly the increment applied to `U_d`, so for valid
-  * candidates `U(c) = S(c.p)` and the first valid heap top is the answer.
+  * Exactness note: every strip's `U_d` bounds the scores of the points in
+  * it, so the largest bounds the cell's best score, which bounds the
+  * candidate's. A valid candidate reaches it, so for valid candidates
+  * `U(c) = S(c.p)` and the first valid heap top is the answer.
   */
 final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full) {
   private val grid  = new Grid(cfg.rectW, cfg.rectH)
@@ -177,14 +209,15 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
 
   val stats = new CspotStats
 
-  private final class Cell(key: Long) extends CspotCell(key, new CellRects) {
+  private final class Cell(key: Long)
+      extends CspotCell(key, new CellRects, grid.cellBox(key), if (mode == BoundMode.Full) CspotCell.Strips else 1) {
     override def bound: Double = mode match {
       case BoundMode.Full       => super.bound
       case BoundMode.StaticOnly => math.max(us, 0.0)
       case BoundMode.NoBounds   => if (candValid) cand.score else Double.PositiveInfinity
     }
 
-    def search(): Unit = sweep(grid.cellBox(key), cfg, ws, stats)
+    def search(): Unit = sweep(cfg, ws, stats)
   }
 
   /** Number of live (non-empty) cells. */

@@ -75,11 +75,13 @@ private[core] final class CellRects extends SweepLine.Columns(1) with Cloneable 
       .map(os(_))
   }
 
-  /** SL-CSPOT over this cell's rects within `box`. */
-  def sweep(box: Box, cfg: SurgeConfig, ws: SweepLine.Workspace): SweepLine.SweepResult = {
+  /** SL-CSPOT over this cell's rects within `box`, confined to the strips
+    * whose bound in `bounds` exceeds `t`.
+    */
+  def sweep(box: Box, cfg: SurgeConfig, ws: SweepLine.Workspace, bounds: Array[Double], t: Double): SweepLine.SweepResult = {
     if (byX == null) { pack(); sortOrders(size, ws) }
     else if (ordered > size) { dropRemoved(byX); ordered = dropRemoved(byY) }
-    SweepLine.sweep(this, box, cfg, ws)
+    SweepLine.sweep(this, box, cfg, ws, bounds, t)
   }
 
   /** Position of rect `o`. Slots are compared by reference, which reads no
@@ -134,8 +136,14 @@ private[core] final class CellRects extends SweepLine.Columns(1) with Cloneable 
 
   /** Moves the live rects to positions `0 until size`, in order, renumbers
     * both orders, then doubles the columns if they are more than 3/4 full.
+    * Without a hole the rects are already there.
     */
   private def pack(): Unit = {
+    if (head > 0 || end > size) compact()
+    if (4 * size > 3 * capacity) resize(2 * capacity)
+  }
+
+  private def compact(): Unit = {
     val to = new Array[Int](end) // new position, or −1 for a removed one
     java.util.Arrays.fill(to, -1)
     var k = 0
@@ -158,7 +166,6 @@ private[core] final class CellRects extends SweepLine.Columns(1) with Cloneable 
     head = 0
     end = k
     grown = g
-    if (4 * size > 3 * capacity) resize(2 * capacity)
   }
 
   /** Renumbers the first `ordered` entries of `by` through `to`, dropping

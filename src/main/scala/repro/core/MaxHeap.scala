@@ -30,8 +30,11 @@ final class MaxHeap[E <: HeapEntry] {
     else if (n == 2) a(1).prio
     else math.max(a(1).prio, a(2).prio)
 
-  /** Insert `e` at priority `p`, or move it there if it is in the heap. */
+  /** Insert `e` at priority `p`, or move it there if it is in the heap
+    * (where it already is if `p` is its priority).
+    */
   def update(e: E, p: Double): Unit = {
+    if (e.slot >= 0 && e.prio == p) return
     if (e.slot < 0) {
       if (n == a.length) a = java.util.Arrays.copyOf(a, 2 * n)
       place(e, n)

@@ -31,8 +31,13 @@ package repro.core
   * outside the tree and none is needed after the last, and a `b×a` rect
   * that meets a `b×a` box contains one of the box's x-edges, so for a cell
   * box or a rect-sized one every add and remove is one root walk. The rects
-  * whose top edge is the box's top are in at the first row: their steps go
+  * active at the first row swept are in from the start: their steps go
   * straight into the leaves and the tree is built once, in `O(n)`.
+  *
+  * A sweep may be confined to some of the box's equal horizontal strips:
+  * `CspotCell` keeps an Eqn 3 bound per strip and sweeps only the rows of
+  * the strips whose bound exceeds its candidate's score. Each swept strip's
+  * bound becomes the best score of its rows.
   *
   * The sweep reads rects as [[SweepLine.Columns]] whose positions are kept
   * in order of corner x and of corner y. Every rect has the same `b×a` size,
@@ -46,15 +51,29 @@ package repro.core
   *
   * Tie order: a row replaces the best point only when its maximum exceeds
   * it by more than `1e-12`, and then with its leftmost maximiser, so the
-  * answer is the topmost row's leftmost point among the maximisers.
+  * answer is the topmost row's leftmost point among the maximisers swept.
   */
 object SweepLine {
 
-  /** Result of one sweep: the best point (None iff no live rect intersects
-    * `box`) and the number of rectangles actually swept (the paper's
-    * `|c|` — used for search-cost accounting).
+  /** Result of one sweep: the best point of the rows swept (None iff no
+    * live rect meets them), the number of rectangles actually swept (the
+    * paper's `|c|`, for search-cost accounting) and the number of strips
+    * swept.
     */
-  final case class SweepResult(point: Option[BurstyPoint], rectCount: Int)
+  final case class SweepResult(point: Option[BurstyPoint], rectCount: Int, strips: Int)
+
+  /** Lowest and highest of the `n` equal closed horizontal strips of `box`
+    * that height `y` lies in: strip `floor((y − y0)·(n/(y1 − y0)))`, and
+    * both neighbours when that is a whole number. `CspotCell`'s bound
+    * updates and the sweep both place heights with these, on the same
+    * clipped edges, so a rect is credited to every strip of every row it
+    * covers.
+    */
+  private[core] def stripLo(y: Double, box: Box, n: Int): Int =
+    math.min(n - 1, math.max(0, math.ceil((y - box.y0) * (n / (box.y1 - box.y0))).toInt - 1))
+
+  private[core] def stripHi(y: Double, box: Box, n: Int): Int =
+    math.min(n - 1, math.max(0, math.floor((y - box.y0) * (n / (box.y1 - box.y0))).toInt))
 
   /** Rects as columns over positions: the object, its corner `x` and `y`,
     * its weight `d = w/|W|` and whether it is in `W_p`. The first `ordered`
@@ -117,6 +136,8 @@ object SweepLine {
     // Distinct clipped edges per axis.
     private[SweepLine] var xe, ye = new Array[Double](32)
     private[SweepLine] val tree = new MaxTree
+    // The one strip of a whole-box sweep.
+    private[SweepLine] val whole = new Array[Double](1)
 
     private[SweepLine] def fit(positions: Int, n: Int): Unit = {
       if (xl.length < positions) {
@@ -153,47 +174,90 @@ object SweepLine {
     sweep(g, box, cfg, ws)
   }
 
-  /** The sweep over pre-ordered columns: `c.byX` and `c.byY` must hold
-    * exactly the live positions. Rects not meeting `box` are skipped.
+  /** The sweep over pre-ordered columns, over the whole of `box`: `c.byX`
+    * and `c.byY` must hold exactly the live positions. Rects not meeting
+    * `box` are skipped.
     */
   private[core] def sweep(c: Columns, box: Box, cfg: SurgeConfig, ws: Workspace): SweepResult = {
+    ws.whole(0) = Double.PositiveInfinity
+    sweep(c, box, cfg, ws, ws.whole, Double.NegativeInfinity)
+  }
+
+  /** The sweep confined to the strips of `box` that can beat a candidate
+    * scoring `t`. `bounds` holds an upper bound per equal horizontal strip
+    * (see [[stripLo]]); the rows swept are those of the strips from the
+    * first to the last whose bound exceeds `t`, and each of those strips'
+    * bounds becomes the largest score of its rows (0 if it has none). The
+    * other strips are left as they are.
+    */
+  private[core] def sweep(c: Columns, box: Box, cfg: SurgeConfig, ws: Workspace,
+                          bounds: Array[Double], t: Double): SweepResult = {
+    val n  = bounds.length
+    var sa = 0
+    while (sa < n && !(bounds(sa) > t)) sa += 1
+    if (sa == n) return SweepResult(None, 0, 0)
+    var sb = n - 1
+    while (!(bounds(sb) > t)) sb -= 1
+    java.util.Arrays.fill(bounds, sa, sb + 1, 0.0)
+
     ws.fit(c.capacity, c.ordered)
     val fy = ws.fy
     val m  = meeting(c, c.byX, box, cfg, ws.fx)
-    if (m == 0) return SweepResult(None, 0)
+    if (m == 0) return SweepResult(None, 0, sb - sa + 1)
     meeting(c, c.byY, box, cfg, fy)
 
     // Candidate coordinates per axis: the distinct clipped edges, with
     // position 2e standing for edge e and 2e+1 for the midpoint of e, e+1.
-    val kx   = ranks(ws.fx, m, c.xs, cfg.rectW, box.x0, box.x1, ws.xe, ws.xl, ws.xh)
-    val ky   = ranks(fy, m, c.ys, cfg.rectH, box.y0, box.y1, ws.ye, ws.yl, ws.yh)
-    val rows = 2 * ky - 1
+    val kx = ranks(ws.fx, m, c.xs, cfg.rectW, box.x0, box.x1, ws.xe, ws.xl, ws.xh)
+    val ky = ranks(fy, m, c.ys, cfg.rectH, box.y0, box.y1, ws.ye, ws.yl, ws.yh)
+    val ye = ws.ye
+
+    // Row 2e lies in the strips of edge e, and row 2e+1 stands for every
+    // height between edges e and e+1, so it counts in all of their strips.
+    // The rows meeting strips sa..sb run from the midpoint below the first
+    // edge reaching sa to the midpoint above the last edge starting by sb.
+    var lo = 0
+    while (lo < ky && stripHi(ye(lo), box, n) < sa) lo += 1
+    var hi = ky - 1
+    while (hi >= 0 && stripLo(ye(hi), box, n) > sb) hi -= 1
+    if (lo == ky || hi < 0) return SweepResult(None, 0, sb - sa + 1)
+    val bottom = math.max(0, 2 * lo - 1)
+    val top    = math.min(2 * ky - 2, 2 * hi + 1)
 
     // Rows run top-down. A rect is added at the row of its top edge and
     // removed at the first row below its bottom edge; both rows fall as `y`
     // rises, so walking `fy` downwards visits each kind in row order. The
-    // first row's rects (clipped top at the box's top) are loaded before the
-    // tree is built.
+    // rects active at the top row are loaded before the tree is built; the
+    // ones wholly above it are passed over.
     val tree = ws.tree
     tree.reset(2 * kx - 1, cfg.alpha)
-    var add = m - 1
-    while (add >= 0 && ws.yh(fy(add)) == ky - 1) { edge(c, fy(add), 1.0, ws); add -= 1 }
+    var swept = 0
+    var add   = m - 1
+    while (add >= 0 && 2 * ws.yh(fy(add)) >= top) {
+      if (2 * ws.yl(fy(add)) <= top) { edge(c, fy(add), 1.0, ws); swept += 1 }
+      add -= 1
+    }
+    var rem = m - 1
+    while (rem >= 0 && 2 * ws.yl(fy(rem)) > top) rem -= 1
     tree.build()
     var best: BurstyPoint = null
-    var rem = m - 1
-    var row = 0
-    while (row < rows) {
-      while (add >= 0 && rows - 1 - 2 * ws.yh(fy(add)) <= row) { edge(c, fy(add), 1.0, ws); add -= 1 }
-      while (rem >= 0 && rows - 2 * ws.yl(fy(rem)) <= row) { edge(c, fy(rem), -1.0, ws); rem -= 1 }
-      if (best == null || tree.max > best.score + 1e-12) {
+    var row = top
+    while (row >= bottom) {
+      while (add >= 0 && 2 * ws.yh(fy(add)) >= row) { edge(c, fy(add), 1.0, ws); swept += 1; add -= 1 }
+      while (rem >= 0 && 2 * ws.yl(fy(rem)) > row) { edge(c, fy(rem), -1.0, ws); rem -= 1 }
+      val max = tree.max
+      var s   = math.max(sa, stripLo(ye(row >> 1), box, n))
+      val e   = math.min(sb, stripHi(ye((row + 1) >> 1), box, n))
+      while (s <= e) { if (max > bounds(s)) bounds(s) = max; s += 1 }
+      if (best == null || max > best.score + 1e-12) {
         val j = tree.argmax()
-        val s = cfg.burst(tree.fc, tree.fp)
-        if (best == null || s > best.score + 1e-12)
-          best = BurstyPoint(coord(ws.xe, j), coord(ws.ye, rows - 1 - row), tree.fc, tree.fp, s)
+        val v = cfg.burst(tree.fc, tree.fp)
+        if (best == null || v > best.score + 1e-12)
+          best = BurstyPoint(coord(ws.xe, j), coord(ye, row), tree.fc, tree.fp, v)
       }
-      row += 1
+      row -= 1
     }
-    SweepResult(Some(best), m)
+    SweepResult(Some(best), swept, sb - sa + 1)
   }
 
   /** Copies the positions among the first `c.ordered` of `ord` whose rect

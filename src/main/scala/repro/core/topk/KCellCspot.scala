@@ -42,14 +42,15 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   def cellCount: Int = cells.size
 
   /** A store cell, with one view per layer, or a layer's private copy of one. */
-  private final class Cell(key: Long, rects: CellRects = new CellRects, store: Boolean = true)
-      extends CspotCell(key, rects) {
+  private final class Cell(key: Long, box: Box, rects: CellRects = new CellRects, store: Boolean = true)
+      extends CspotCell(key, rects, box, CspotCell.Strips) {
     val views: Array[View] = if (store) Array.tabulate(k)(new View(key, _, this)) else null
-    def search(): Unit = sweep(grid.cellBox(key), cfg, ws, stats)
+    def search(): Unit = sweep(cfg, ws, stats)
 
     def copy(): Cell = {
-      val c = new Cell(key, rects.copy(), store = false)
+      val c = new Cell(key, box, rects.copy(), store = false)
       c.us = us; c.ud = ud; c.cand = cand; c.candValid = candValid
+      if (uds != null) c.uds = uds.clone()
       c
     }
   }
@@ -92,7 +93,7 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     val obox = cfg.rectBox(o)
     grid.foreachCell(obox) { key =>
       var c = if (e.kind == EventKind.New) cells.getOrNull(key) else cells(key)
-      if (c == null) { c = new Cell(key); cells(key) = c }
+      if (c == null) { c = new Cell(key, grid.cellBox(key)); cells(key) = c }
       c.update(o, obox, dc, dp, cfg, lemma4 = true)
       var i = 0
       while (i < k) {

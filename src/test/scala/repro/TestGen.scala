@@ -56,11 +56,12 @@ object TestGen {
   /** An adversarial stream full of ties: 4–8 arrivals (about 6) share each
     * timestamp, timestamps advance by [[TiedStep]] so that Grown/Expired
     * events fire exactly when arrivals do under a window that is a multiple
-    * of it, weights are integers in 1–3, and corners sit on a half-unit
-    * lattice in `[0,ext]²` so unit rects are grid-aligned (integer corners
-    * touch 9 cells) and share edges.
+    * of it, weights are integers in 1–3, and corners sit on a lattice of
+    * `1/lattice` units in `[0,ext]²` so unit rects are grid-aligned (integer
+    * corners touch 9 cells) and share edges. At `lattice = 8` edges also lie
+    * on the boundaries of a cell's strips.
     */
-  def tiedStream(seed: Int, n: Int, ext: Int = 4): IndexedSeq[SpatialObj] = {
+  def tiedStream(seed: Int, n: Int, ext: Int = 4, lattice: Int = 2): IndexedSeq[SpatialObj] = {
     val rng  = new Random(seed)
     var t    = 10000L
     var left = 4 + rng.nextInt(5)
@@ -68,7 +69,7 @@ object TestGen {
       if (left == 0) { t += TiedStep; left = 4 + rng.nextInt(5) }
       left -= 1
       SpatialObj(i.toLong, 1.0 + rng.nextInt(3),
-                 rng.nextInt(2 * ext + 1) / 2.0, rng.nextInt(2 * ext + 1) / 2.0, t)
+                 rng.nextInt(lattice * ext + 1) / lattice.toDouble, rng.nextInt(lattice * ext + 1) / lattice.toDouble, t)
     }
   }
 

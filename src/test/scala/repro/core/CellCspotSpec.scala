@@ -56,6 +56,39 @@ class CellCspotSpec extends AnyFunSuite with TimeLimits {
       replay(TestGen.tiedStream(seed, 45), cfg, mode)
     }
 
+  // Corners on a lattice of eighths of a cell put rect edges on the
+  // boundaries of its strips, where an edge counts in both strips.
+  for (mode <- Seq(BoundMode.Full, BoundMode.StaticOnly); alpha <- Seq(0.0, 0.5, 0.9); seed <- 0 until 3)
+    test(s"$mode matches brute force after every event (eighths lattice, alpha=$alpha), seed $seed") {
+      val cfg = TestGen.cfg(windowMillis = 3 * TestGen.TiedStep, alpha = alpha)
+      replay(TestGen.tiedStream(seed, 80, ext = 2, lattice = 8), cfg, mode)
+    }
+
+  // |W| = 1 s with weights in the hundreds puts scores near 1e6, where no
+  // `w/|W|` is exact. A search that left its cell invalid would have the
+  // query search it again for ever.
+  for (alpha <- Seq(0.0, 0.5, 0.9); seed <- 0 until 2)
+    test(s"every search leaves its cell valid at scores near 1e6, alpha=$alpha, seed $seed") {
+      implicit val signaler: Signaler = ThreadSignaler
+      val cfg  = TestGen.cfg(windowMillis = 1000L, alpha = alpha)
+      val objs = TestGen.tiedStream(seed, 150, ext = 2, lattice = 8).map(o => o.copy(w = 37 * o.w))
+      val run = Future {
+        val algo = new CellCspot(cfg, BoundMode.Full)
+        val live = new LiveSet(cfg.windowMillis)
+        EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
+          live(e)
+          val got    = algo.onEvent(e).map(_.score)
+          val before = algo.stats.searches
+          assert(algo.query().map(_.score) == got && algo.stats.searches == before)
+          val want = BruteForce.burstyPoint(live.objectsAt(e.at), e.at, cfg).map(_.score)
+          assert(got.isDefined == want.isDefined)
+          for (g <- got; w <- want) assert(math.abs(g - w) <= 1e-9 * math.max(1.0, w), s"at ${e.kind}@${e.at}: $g vs $w")
+        }
+        algo.stats.searches
+      }
+      failAfter(60.seconds)(assert(Await.result(run, Duration.Inf) > 0))
+    }
+
   for (seed <- 0 until 6)
     test(s"non-unit rectangle sizes, seed $seed") {
       val cfg = TestGen.cfg(windowMillis = 1000L, alpha = 0.5, rectW = 1.7, rectH = 0.6)
@@ -219,6 +252,40 @@ class CellCspotSpec extends AnyFunSuite with TimeLimits {
                s"step $step: rectsCovering($px, $py)")
       }
       assert(next > 60 && algo.cellCount > 0)
+    }
+
+  // A column store that fills without a hole grows without moving a rect;
+  // one with holes packs first. Either way a sweep after each doubling sees
+  // exactly the live rects.
+  for (holes <- Seq(false, true))
+    test(s"cell store: columns grown through several doublings sweep like brute force, holes = $holes") {
+      val cfg   = TestGen.cfg(windowMillis = 1000L, alpha = 0.5)
+      val now   = 10000L
+      val box   = Box(1.0, 1.0, 2.0, 2.0)
+      val rng   = new Random(if (holes) 2 else 1)
+      val cell  = new CellRects
+      val ws    = new SweepLine.Workspace
+      val live  = mutable.ArrayBuffer.empty[SpatialObj]
+      var grows = 0
+      for (i <- 0 until 400) {
+        val isPast = rng.nextInt(3) == 0
+        val o = SpatialObj(i.toLong, 1.0 + rng.nextInt(3), 2 * rng.nextDouble(), 2 * rng.nextDouble(),
+                           if (isPast) now - cfg.windowMillis else now)
+        val cap = cell.capacity
+        cell.add(o, cfg.delta(o.w), isPast)
+        live += o
+        if (holes && i % 3 == 2) cell.remove(live.remove(0))
+        if (cell.capacity > cap) {
+          grows += 1
+          val got  = cell.sweep(box, cfg, ws, Array(Double.PositiveInfinity), Double.NegativeInfinity)
+          val want = BruteForce.burstyPoint(live, now, cfg, Some(box)).get
+          assert(got.rectCount == live.size && cell.size == live.size)
+          assert(math.abs(got.point.get.score - want.score) < 1e-9, s"after rect $i: $got vs $want")
+          val chk = BruteForce.scoreAt(live, now, cfg, got.point.get.x, got.point.get.y)
+          assert(math.abs(chk.score - want.score) < 1e-9, s"after rect $i: stale point ${got.point}")
+        }
+      }
+      assert(grows >= 6 && cell.live.toSeq == live.toSeq)
     }
 
   test("rectsCovering finds exactly the covering live rects") {

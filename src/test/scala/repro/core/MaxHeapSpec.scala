@@ -58,6 +58,20 @@ class MaxHeapSpec extends AnyFunSuite {
     assert(h.pop() == null)
   }
 
+  test("re-keying entries at their own priorities moves nothing") {
+    val rng = new Random(3)
+    val h   = new MaxHeap[E]
+    val es  = (0L until 40L).map(new E(_))
+    es.foreach(h.update(_, rng.nextInt(10).toDouble)) // ties across keys
+    val slots = es.map(_.slot)
+    es.reverse.foreach(e => h.update(e, e.prio))
+    assert(es.map(_.slot) == slots && h.size == 40)
+    val popped = Iterator.continually(h.pop()).takeWhile(_ != null).map(e => (-e.prio, e.key)).toList
+    assert(popped == popped.sorted && popped.size == 40)
+    h.update(es(5), es(5).prio) // out of the heap, the same call inserts it
+    assert(h.size == 1 && (h.top eq es(5)))
+  }
+
   test("equal priorities pop in key order whatever the push order") {
     val rng  = new Random(7)
     val keys = (-8L until 8L).map(_ << 31) // negative and positive, across the 32-bit halves

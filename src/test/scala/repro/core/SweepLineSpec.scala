@@ -166,6 +166,58 @@ class SweepLineSpec extends AnyFunSuite {
       }
     }
 
+  // A cell keeps one bound per eighth of its height. A sweep rewrites the
+  // bounds of the strips it sweeps (the run from the first to the last above
+  // `t`) and leaves the others alone; each rewritten bound must cover the
+  // brute-force best over its closed strip. Corners on a lattice of eighths
+  // of the rect put edges on the strip boundaries, and integer weights make
+  // ties.
+  for (seed <- 0 until 20)
+    test(s"a confined sweep bounds every strip it sweeps, seed $seed") {
+      val rng  = new Random(300 + seed)
+      val cfg  = TestGen.cfg(windowMillis = W, alpha = rng.nextInt(10) / 10.0)
+      val now  = 20000L
+      val box  = Box(1.0, 1.0, 2.0, 2.0)
+      val objs = (0 until 10 + rng.nextInt(40)).map { i =>
+        SpatialObj(i.toLong, 1.0 + rng.nextInt(3), rng.nextInt(17) / 8.0, rng.nextInt(17) / 8.0,
+                   now - 1 - rng.nextInt(2) * W)
+      }
+      val cell = new CellRects
+      objs.foreach(o => cell.add(o, cfg.delta(o.w), Win.of(o.t, now, W) == Win.Past))
+      val ws = new SweepLine.Workspace
+      def strip(s: Int) = Box(box.x0, box.y0 + s / 8.0, box.x1, box.y0 + (s + 1) / 8.0)
+      def brute(b: Box) = BruteForce.burstyPoint(objs, now, cfg, Some(b)).fold(0.0)(_.score)
+
+      val bounds = Array.fill(8)(Double.PositiveInfinity)
+      val whole  = cell.sweep(box, cfg, ws, bounds, Double.NegativeInfinity)
+      assert(whole.strips == 8 && whole.rectCount == objs.size)
+      assert(math.abs(whole.point.get.score - brute(box)) < 1e-9)
+      for (s <- 0 until 8)
+        assert(bounds(s) >= brute(strip(s)) - 1e-9 && bounds(s) <= whole.point.get.score + 1e-9,
+               s"strip $s: bound ${bounds(s)}, brute ${brute(strip(s))}")
+
+      // Mark a run of strips stale and sweep again above a threshold that
+      // every fresh bound reaches.
+      val sa    = rng.nextInt(8)
+      val sb    = sa + rng.nextInt(8 - sa)
+      val t     = bounds.max
+      val stale = bounds.clone()
+      (sa to sb).foreach(stale(_) = t + 1)
+      val part = cell.sweep(box, cfg, ws, stale, t)
+      assert(part.strips == sb - sa + 1)
+      for (s <- 0 until 8) {
+        if (s < sa || s > sb) assert(stale(s) == bounds(s), s"strip $s was not swept")
+        else assert(stale(s) >= brute(strip(s)) - 1e-9, s"strip $s: bound ${stale(s)}, brute ${brute(strip(s))}")
+      }
+      val run = Box(box.x0, box.y0 + sa / 8.0, box.x1, box.y0 + (sb + 1) / 8.0)
+      for (p <- part.point) {
+        val check = BruteForce.scoreAt(objs, now, cfg, p.x, p.y)
+        assert(math.abs(check.score - p.score) < 1e-9)
+        assert(p.score >= brute(run) - 1e-9 && p.score <= brute(box) + 1e-9, s"run $sa..$sb: $p")
+      }
+      assert(part.point.isDefined || brute(run) == 0.0)
+    }
+
   /** Sorted distinct values plus the midpoint of each consecutive pair. */
   private def candidates(edges: Seq[Double]): Seq[Double] = {
     val e = edges.distinct.sorted

@@ -1,6 +1,11 @@
 package repro.core
 
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration.Duration
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 import repro.{LiveSet, TestGen}
 import repro.core.topk.KCellCspot
 import repro.stream.EventStream
@@ -12,7 +17,7 @@ import repro.stream.EventStream
   * different cover sets have probability ~0 and the greedy score vector is
   * well-defined regardless of which tied point an implementation picks.
   */
-class TopKSpec extends AnyFunSuite {
+class TopKSpec extends AnyFunSuite with TimeLimits {
 
   private def scores(v: Seq[Option[BurstyPoint]]): Seq[Double] =
     v.map(_.map(_.score).getOrElse(0.0))
@@ -91,6 +96,60 @@ class TopKSpec extends AnyFunSuite {
           assert(math.abs(chk.score - p.score) < 1e-6, s"stale p1 $p vs $chk")
         }
       }
+    }
+
+  /** Asserts that each `got(i)` is a best point over the live rects covering
+    * none of `got(0 until i)`, at its true score there, within `tol(score)`.
+    * With ties this is the greedy vector of the points kCCS picked.
+    */
+  private def greedyOverOwnPoints(got: Seq[Option[BurstyPoint]], live: IndexedSeq[SpatialObj], now: Long,
+                                  cfg: SurgeConfig, tol: Double => Double, at: String): Unit = {
+    var remaining = live
+    got.zipWithIndex.foreach { case (p, i) =>
+      val want = BruteForce.burstyPoint(remaining, now, cfg).map(_.score).getOrElse(0.0)
+      val g    = p.map(_.score).getOrElse(0.0)
+      assert(math.abs(g - want) <= tol(want), s"$at: p${i + 1} scores $g, best over the rest $want")
+      p.foreach { q =>
+        val chk = BruteForce.scoreAt(remaining, now, cfg, q.x, q.y).score
+        assert(math.abs(chk - g) <= tol(want), s"$at: p${i + 1} $q scores $chk there")
+        remaining = remaining.filterNot(o => cfg.rectBox(o).contains(q.x, q.y))
+      }
+    }
+  }
+
+  // Corners on a lattice of eighths of a cell put rect edges on the
+  // boundaries of its strips, and integer weights make ties. Which tied
+  // point is picked decides what later levels see, so each level is checked
+  // against the rects its own earlier points leave.
+  for (alpha <- Seq(0.0, 0.5, 0.9); seed <- 0 until 3)
+    test(s"kCCS top-3 is greedy over its own points on an eighths lattice, alpha=$alpha, seed $seed") {
+      val cfg  = TestGen.cfg(windowMillis = 3 * TestGen.TiedStep, alpha = alpha)
+      val algo = new KCellCspot(cfg, 3)
+      val live = new LiveSet(cfg.windowMillis)
+      EventStream.fromObjects(TestGen.tiedStream(seed, 80, ext = 2, lattice = 8), cfg.windowMillis).foreach { e =>
+        live(e)
+        greedyOverOwnPoints(algo.onEvent(e), live.objectsAt(e.at), e.at, cfg, _ => 1e-6, s"${e.kind}@${e.at}")
+      }
+    }
+
+  // As in CellCspotSpec: scores near 1e6, where no `w/|W|` is exact; a
+  // search that left its view invalid would never let the query return.
+  for (alpha <- Seq(0.0, 0.5, 0.9))
+    test(s"kCCS: every search leaves its view valid at scores near 1e6, alpha=$alpha") {
+      implicit val signaler: Signaler = ThreadSignaler
+      val cfg  = TestGen.cfg(windowMillis = 1000L, alpha = alpha)
+      val objs = TestGen.tiedStream(3, 150, ext = 2, lattice = 8).map(o => o.copy(w = 37 * o.w))
+      val run = Future {
+        val algo = new KCellCspot(cfg, 3)
+        val live = new LiveSet(cfg.windowMillis)
+        EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
+          live(e)
+          greedyOverOwnPoints(algo.onEvent(e), live.objectsAt(e.at), e.at, cfg,
+                              w => 1e-9 * math.max(1.0, w), s"${e.kind}@${e.at}")
+        }
+        algo.searches
+      }
+      failAfter(60.seconds)(assert(Await.result(run, Duration.Inf) > 0))
     }
 
   test("kCCS top-k scores are non-increasing in k") {
