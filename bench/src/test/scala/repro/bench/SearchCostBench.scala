@@ -22,14 +22,15 @@ import repro.stream.EventStream
   * `query` calls that searched over the searches they made), `process` ns
   * per event, the search count, a hash of every event's answer and a
   * fingerprint of the answers' scores alone (which stays put when answers
-  * move among tied points). Then, median over the passes, µs per search by
+  * move among tied points), and `MaxHeap.update` calls per event. Then, median over the passes, µs per search by
   * rects swept, and the searches by the number of a cell's strips they
   * swept, with the µs per search of the `query` calls that made one such
   * search. A call that made `n` searches over `r` rects counts `n`
   * searches of `r/n` rects. The same
   * split is printed for kCCS(5) on six `kccs5-us` streams, where the timed
   * call is `onEvent`, so each search also carries its event's updates; the
-  * mean `onEvent` time of events that did not search is printed beside it.
+  * mean `onEvent` time of events that did not search is printed beside it,
+  * with the heap updates per event.
   * The second test prints search counts and answer hashes for B-CCS and Base
   * (`Tables.streamFor(US, 8000, 1h)`, seeds 201 and 202) and kCCS(5); for
   * kCCS also rects per search and a fingerprint of the scores alone, which
@@ -72,7 +73,7 @@ class SearchCostBench extends AnyFunSuite {
   }
 
   private def ccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): Pass = {
-    var searchNs, processNs, events, searches, hash = 0L
+    var searchNs, processNs, events, searches, hash, updates = 0L
     var scores = 0
     val bySize   = new Buckets
     val byStrips = new Array[Long](CspotCell.Strips + 1)
@@ -104,11 +105,12 @@ class SearchCostBench extends AnyFunSuite {
         scores = mixScores(scores, p :: Nil)
       }
       searches += ccs.stats.searches
+      updates += ccs.heapUpdates
       byStrips.indices.foreach(i => byStrips(i) += ccs.stats.byStrips(i))
     }
     Pass(searchNs / 1e3 / searches, processNs.toDouble / events, searches, hash,
          MurmurHash3.finalizeHash(scores, events.toInt), bySize, byStrips.toSeq,
-         oneNs.indices.map(n => if (one(n) == 0) 0.0 else oneNs(n) / 1e3 / one(n)))
+         oneNs.indices.map(n => if (one(n) == 0) 0.0 else oneNs(n) / 1e3 / one(n)), updates.toDouble / events)
   }
 
   /** The strips swept by all of `s`'s searches so far. */
@@ -119,12 +121,12 @@ class SearchCostBench extends AnyFunSuite {
     t
   }
 
-  /** One timed kCCS(5) pass: searches by size, and the mean ns of an
-    * `onEvent` that did not search.
+  /** One timed kCCS(5) pass: searches by size, the mean ns of an `onEvent`
+    * that did not search, and heap updates per event.
     */
-  private def kccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): (Buckets, Double) = {
+  private def kccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): (Buckets, Double, Double) = {
     val bySize = new Buckets
-    var quietNs, quiet = 0L
+    var quietNs, quiet, events, updates = 0L
     streams.foreach { case (cfg, objs) =>
       val det = new KCellCspot(cfg, 5)
       EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
@@ -135,9 +137,11 @@ class SearchCostBench extends AnyFunSuite {
         val dt = System.nanoTime() - t0
         if (det.stats.searches > before) bySize.add(det.stats.searches - before, det.stats.sweptRects - swept, dt)
         else { quietNs += dt; quiet += 1 }
+        events += 1
       }
+      updates += det.heapUpdates
     }
-    (bySize, quietNs.toDouble / quiet)
+    (bySize, quietNs.toDouble / quiet, updates.toDouble / events)
   }
 
   test("SL-CSPOT search cost inside CCS at ccs-us density") {
@@ -147,7 +151,8 @@ class SearchCostBench extends AnyFunSuite {
     println(f"\n=== CCS on $Streams US streams (seed $Seed, ${streams.head._2.size} objects each) ===")
     passes.zipWithIndex.foreach { case (p, i) =>
       println(f"pass ${i + 1}: ${p.searchUs}%.1f us/search  ${p.processNs}%.0f ns/process  " +
-              f"${p.searches} searches  hash ${p.hash}%016x  scores ${p.scores}%08x")
+              f"${p.searches} searches  hash ${p.hash}%016x  scores ${p.scores}%08x  " +
+              f"${p.heapUpdates}%.2f heap updates/event")
     }
     val med = passes.sortBy(_.searchUs).apply(Passes / 2)
     println(f"median: ${med.searchUs}%.1f us/search, ${passes.map(_.processNs).sorted.apply(Passes / 2)}%.0f ns/process")
@@ -164,9 +169,10 @@ class SearchCostBench extends AnyFunSuite {
     kccsPass(streams.take(2)) // warm-up
     val passes = (1 to Passes).map(_ => kccsPass(streams))
     println(f"\n=== kCCS(5) on 6 US streams (seed $Seed, ${streams.head._2.size} objects each) ===")
-    println(f"onEvent without a search: ${passes.map(_._2).sorted.apply(Passes / 2) / 1e3}%.2f us (median)")
+    println(f"onEvent without a search: ${passes.map(_._2).sorted.apply(Passes / 2) / 1e3}%.2f us (median)  " +
+            f"${passes.head._3}%.2f heap updates/event")
     println(Buckets.report(passes.map(_._1)))
-    assert(passes.map(_._1.searches.sum).distinct.size == 1, "passes disagree")
+    assert(passes.map(p => (p._1.searches.sum, p._3)).distinct.size == 1, "passes disagree")
   }
 
   test("answer fingerprints of B-CCS, Base and kCCS(5)") {
@@ -276,7 +282,7 @@ class SearchCostBench extends AnyFunSuite {
 object SearchCostBench {
   /** One CCS pass over the streams. */
   final case class Pass(searchUs: Double, processNs: Double, searches: Long, hash: Long, scores: Int,
-                        bySize: Buckets, byStrips: Seq[Long], oneUs: Seq[Double])
+                        bySize: Buckets, byStrips: Seq[Long], oneUs: Seq[Double], heapUpdates: Double)
 
   /** Timed searches by rects swept per search. */
   final class Buckets {

@@ -26,6 +26,7 @@ final class AG2(val cfg: SurgeConfig) {
   private val cells = mutable.LongMap.empty[mutable.LinkedHashMap[Long, SpatialObj]]
   private val nodes = mutable.LongMap.empty[Node]
   private val heap  = new MaxHeap[Node]
+  private val walk  = new SearchRegion.Walk(heap)
   private val ws    = new SweepLine.Workspace
 
   val stats = new CspotStats
@@ -113,5 +114,5 @@ final class AG2(val cfg: SurgeConfig) {
     * inside some live rectangle, so the max over per-rect searches is the
     * global bursty point.
     */
-  def query(): Option[BurstyPoint] = SearchRegion.best(heap)
+  def query(): Option[BurstyPoint] = walk.best()
 }

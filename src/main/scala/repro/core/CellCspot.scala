@@ -1,7 +1,6 @@
 package repro.core
 
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 
 /** Upper-bound discipline of a [[CellCspot]] instance (Section VII-A):
   * `Full` = CCS (static Eqn 2 + dynamic Eqn 3 bounds, candidate reuse),
@@ -58,39 +57,88 @@ private[repro] abstract class SearchRegion(key: Long) extends HeapEntry(key) {
 
 private[repro] object SearchRegion {
 
-  /** The lazy-update search of Section IV-C1: walk regions by descending
-    * bound, re-search each invalid one and re-queue it at its new bound, and
-    * stop as soon as no bound exceeds the best valid candidate. Popped
-    * regions are put back, so the call is idempotent. A valid top that no
-    * bound below it exceeds is the answer at once, with no pop; the loop is
-    * a method of its own, so that a caller that inlines `best` takes in only
-    * this check.
+  /** The lazy-update search of Section IV-C1 over `heap`, one per detector
+    * and reused between calls. It reads regions best-first by (bound desc,
+    * key asc) from a small frontier of heap slots and never moves a region
+    * it has not searched:
+    *  - an invalid region is searched and re-keyed at its new bound, and
+    *    the walk restarts from the top;
+    *  - a region that `skip` leaves out passes its children on;
+    *  - a valid region offers its candidate, and its children join the
+    *    frontier;
+    *  - the walk stops at the first region whose bound does not exceed the
+    *    best candidate by more than `1e-9`.
+    *
+    * A restart re-reads the valid regions it has already offered, which
+    * changes nothing, so the regions are searched and offered in the order
+    * of a loop that pops each one from the heap and puts it back at the end.
     */
-  def best[R <: SearchRegion](heap: MaxHeap[R]): Option[BurstyPoint] = {
-    val r = heap.top
-    if (r != null && r.candValid && heap.belowTop <= r.cand.score + 1e-9) Some(r.cand) else search(heap)
-  }
+  class Walk[R <: SearchRegion](heap: MaxHeap[R]) {
+    // Heap slots whose parents have been read, kept as a binary heap in the
+    // heap's order.
+    private var f = new Array[Int](16)
+    private var n = 0
 
-  private def search[R <: SearchRegion](heap: MaxHeap[R]): Option[BurstyPoint] = {
-    var r = heap.top
-    var best: BurstyPoint = null
-    var stash: ArrayBuffer[R] = null
-    while (r != null && (best == null || r.prio > best.score + 1e-9)) {
-      if (!r.candValid) {
-        r.search()
-        heap.update(r, r.bound)
-      } else {
-        if (best == null || r.cand.score > best.score) best = r.cand
-        if (stash == null) stash = ArrayBuffer.empty[R]
-        stash += heap.pop()
+    /** Whether the walk leaves `r` out: neither searched nor offered. */
+    protected def skip(r: R): Boolean = false
+
+    /** The best point over the regions `skip` keeps. A valid top that no
+      * bound below it exceeds is the answer at once; the walk is a method
+      * of its own, so that a caller that inlines `best` takes in only this
+      * check.
+      */
+    final def best(): Option[BurstyPoint] = {
+      val r = heap.top
+      if (r != null && r.candValid && !skip(r) && heap.belowTop <= r.cand.score + 1e-9) Some(r.cand) else walk()
+    }
+
+    private def walk(): Option[BurstyPoint] = {
+      var best: BurstyPoint = null
+      restart()
+      while (n > 0) {
+        val i = take()
+        val r = heap(i)
+        if (best != null && r.prio <= best.score + 1e-9) n = 0
+        else if (skip(r)) children(i)
+        else if (!r.candValid) {
+          r.search()
+          heap.update(r, r.bound)
+          restart()
+        } else {
+          if (best == null || r.cand.score > best.score) best = r.cand
+          children(i)
+        }
       }
-      r = heap.top
+      Option(best)
     }
-    if (stash != null) {
-      var i = 0
-      while (i < stash.length) { val s = stash(i); heap.update(s, s.bound); i += 1 }
+
+    private def restart(): Unit = { n = 0; push(0) }
+
+    private def children(i: Int): Unit = { push(2 * i + 1); push(2 * i + 2) }
+
+    // Adds slot `i` to the frontier, if the heap has it.
+    private def push(i: Int): Unit = if (i < heap.size) {
+      if (n == f.length) f = java.util.Arrays.copyOf(f, 2 * n)
+      var j = n
+      n += 1
+      while (j > 0 && heap.before(i, f((j - 1) / 2))) { f(j) = f((j - 1) / 2); j = (j - 1) / 2 }
+      f(j) = i
     }
-    Option(best)
+
+    // Removes and returns the frontier's first slot.
+    private def take(): Int = {
+      val first = f(0)
+      n -= 1
+      val last = f(n)
+      var j = 0
+      var c = 1
+      while (c < n) {
+        if (c + 1 < n && heap.before(f(c + 1), f(c))) c += 1
+        if (heap.before(f(c), last)) { f(j) = f(c); j = c; c = 2 * j + 1 } else c = n
+      }
+      f(j) = last
+      first
+    }
   }
 }
 
@@ -205,6 +253,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
   private val grid  = new Grid(cfg.rectW, cfg.rectH)
   private val cells = mutable.LongMap.empty[Cell]
   private val heap  = new MaxHeap[Cell]
+  private val walk  = new SearchRegion.Walk(heap)
   private val ws    = new SweepLine.Workspace
 
   val stats = new CspotStats
@@ -222,6 +271,9 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
 
   /** Number of live (non-empty) cells. */
   def cellCount: Int = cells.size
+
+  /** Heap updates so far (cost accounting). */
+  private[repro] def heapUpdates: Long = heap.updates
 
   /** Process one event and report the current bursty point (Algorithm 2). */
   def onEvent(e: Event): Option[BurstyPoint] = { process(e); query() }
@@ -264,5 +316,5 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
   /** Current bursty point (the lazy-update search loop of Algorithm 2).
     * Idempotent; may be called as often or as rarely as the caller likes.
     */
-  def query(): Option[BurstyPoint] = SearchRegion.best(heap)
+  def query(): Option[BurstyPoint] = walk.best()
 }

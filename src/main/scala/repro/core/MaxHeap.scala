@@ -1,7 +1,8 @@
 package repro.core
 
 /** An element of a [[MaxHeap]]. It carries its own priority and array slot,
-  * so the heap needs no side map; `key` breaks priority ties.
+  * so the heap needs no side map; `key` breaks priority ties. Keys need not
+  * be unique: kCCS's private copies of a cell share its key.
   */
 abstract class HeapEntry(val key: Long) {
   private[core] var prio: Double = 0.0
@@ -11,7 +12,8 @@ abstract class HeapEntry(val key: Long) {
 /** The binary max-heap behind "a heap over cells by upper bound / burst
   * score" (Sections IV-C, V-A). Entries sift in place when their priority
   * changes. Order: priority descending, then key ascending, so the top is a
-  * function of the heap's contents, not of the order of updates.
+  * function of the heap's contents, not of the order of updates, up to
+  * entries with equal priority and key (a kCCS cell and its copies).
   */
 final class MaxHeap[E <: HeapEntry] {
   private var a = new Array[HeapEntry](16)
@@ -19,8 +21,17 @@ final class MaxHeap[E <: HeapEntry] {
 
   def size: Int = n
 
+  /** Calls to [[update]] so far (cost accounting). */
+  private[repro] var updates: Long = 0L
+
   /** The first entry in heap order, or `null` if the heap is empty. */
   def top: E = a(0).asInstanceOf[E]
+
+  /** The entry at slot `i`, for `0 ≤ i < size`. Slot 0 is the top, and the
+    * children of slot `i` are slots `2i+1` and `2i+2`, each after it in heap
+    * order: a walk from slot 0 reads the heap in order without moving it.
+    */
+  def apply(i: Int): E = a(i).asInstanceOf[E]
 
   /** The best priority below the top (that of its larger child), or −∞ if
     * the top is alone.
@@ -34,6 +45,7 @@ final class MaxHeap[E <: HeapEntry] {
     * (where it already is if `p` is its priority).
     */
   def update(e: E, p: Double): Unit = {
+    updates += 1
     if (e.slot >= 0 && e.prio == p) return
     if (e.slot < 0) {
       if (n == a.length) a = java.util.Arrays.copyOf(a, 2 * n)
@@ -56,6 +68,9 @@ final class MaxHeap[E <: HeapEntry] {
 
   /** Remove and return the top entry, or `null` if the heap is empty. */
   def pop(): E = { val e = top; if (e != null) remove(e); e }
+
+  /** Whether the entry at slot `i` comes before the one at slot `j`. */
+  private[core] def before(i: Int, j: Int): Boolean = above(a(i), a(j))
 
   private def above(x: HeapEntry, y: HeapEntry): Boolean =
     x.prio > y.prio || x.prio == y.prio && x.key < y.key

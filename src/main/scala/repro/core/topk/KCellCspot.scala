@@ -9,11 +9,13 @@ import repro.core._
   * sees only the rects whose *level* is > i, where the level of a rect is the
   * order of the first selected point it covers (k if it covers none). All
   * layers share one store of [[CspotCell]]s, layer 0's cells, so a cell the
-  * layers agree on is updated and searched once (Section VI-B's sharing):
-  *  - each layer has a [[MaxHeap]] of views, one per store cell. A view reads
-  *    the store's cell unless its layer holds a private copy, which it does
-  *    while `pins` > 0 live rects of level ≤ i touch the cell; each of those
-  *    covers one of `p[1..i]`, so copies exist only around selected points;
+  * layers agree on is updated and searched once (Section VI-B's sharing).
+  * Layer i holds a private copy of a store cell while `pins` > 0 live rects
+  * of level ≤ i touch it; each of those covers one of `p[1..i]`, so copies
+  * exist only around selected points. One [[MaxHeap]] holds the store's
+  * cells and every layer's copies:
+  *  - layer i is answered by the lazy search over that heap, which leaves
+  *    out the copies of other layers and the store cells layer i copies;
   *  - a stream event updates the store's cell, and the copies of the layers
   *    its rect is in; a level change touches only copies: a rect that starts
   *    covering `p[i]` is pinned to level i, and when `p[i]` moves, a level-i
@@ -24,7 +26,8 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
 
   private val grid  = new Grid(cfg.rectW, cfg.rectH)
   private val cells = mutable.LongMap.empty[Cell]
-  private val heaps = Array.fill(k)(new MaxHeap[View])
+  private val heap  = new MaxHeap[Cell]
+  private val walk  = new LayerWalk
   private val ws    = new SweepLine.Workspace
   // Every live rect's level l and window: 2·l, plus 1 while it is in `W_p`.
   // `setLevel` is the only method that changes a level.
@@ -41,41 +44,43 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   /** Number of live (non-empty) cells in the store. */
   def cellCount: Int = cells.size
 
-  /** A store cell, with one view per layer, or a layer's private copy of one. */
-  private final class Cell(key: Long, box: Box, rects: CellRects = new CellRects, store: Boolean = true)
+  /** Heap updates so far (cost accounting). */
+  private[repro] def heapUpdates: Long = heap.updates
+
+  /** A store cell (`layer` 0), or layer `layer`'s private copy of one,
+    * which shares its key.
+    */
+  private final class Cell(key: Long, box: Box, rects: CellRects = new CellRects, val layer: Int = 0)
       extends CspotCell(key, rects, box, CspotCell.Strips) {
-    val views: Array[View] = if (store) Array.tabulate(k)(new View(key, _, this)) else null
+    // A store cell's copies by layer, `null` where the layer reads this
+    // cell; allocated with the first copy.
+    var own: Array[Cell] = _
+    // A copy's live rects of level ≤ `layer` that touch the cell.
+    var pins = 0
+
     def search(): Unit = sweep(cfg, ws, stats)
 
-    def copy(): Cell = {
-      val c = new Cell(key, box, rects.copy(), store = false)
+    /** The cell as layer `i` sees it: its copy there, or itself. */
+    def in(i: Int): Cell = if (own == null || own(i) == null) this else own(i)
+
+    def copy(layer: Int): Cell = {
+      val c = new Cell(key, box, rects.copy(), layer)
       c.us = us; c.ud = ud; c.cand = cand; c.candValid = candValid
       if (uds != null) c.uds = uds.clone()
       c
     }
   }
 
-  /** Layer `layer`'s entry for store cell `shared`, or its private copy `own` while `pins` > 0. */
-  private final class View(key: Long, val layer: Int, shared: Cell) extends SearchRegion(key) {
-    var own: Cell = _
-    var pins = 0
-    def cell: Cell = if (own == null) shared else own
-    def bound: Double = cell.bound
-    def cand: BurstyPoint = cell.cand
-    def candValid: Boolean = cell.candValid
-
-    def search(): Unit = {
-      cell.search()
-      if (own == null) {
-        var i = 0
-        while (i < k) { val v = shared.views(i); if (v.own == null) v.place(); i += 1 }
-      }
-    }
-
-    /** Re-keys this view in its layer's heap; an empty copy leaves it. */
-    def place(): Unit =
-      if (cell.rects.size == 0) heaps(layer).remove(this) else heaps(layer).update(this, bound)
+  /** The lazy search for layer `layer`. */
+  private final class LayerWalk extends SearchRegion.Walk(heap) {
+    var layer = 0
+    override protected def skip(c: Cell): Boolean =
+      if (c.layer == 0) c.in(layer) ne c else c.layer != layer
   }
+
+  /** Re-keys `c` in the heap; an empty copy leaves it. */
+  private def place(c: Cell): Unit =
+    if (c.rects.size == 0) heap.remove(c) else heap.update(c, c.bound)
 
   /** Process one event and return the current top-k bursty points
     * (`None` entries when fewer than i covered points exist).
@@ -95,13 +100,17 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
       var c = if (e.kind == EventKind.New) cells.getOrNull(key) else cells(key)
       if (c == null) { c = new Cell(key, grid.cellBox(key)); cells(key) = c }
       c.update(o, obox, dc, dp, cfg, lemma4 = true)
-      var i = 0
-      while (i < k) {
-        val v = c.views(i)
-        if (i < l) { if (v.own != null) v.own.update(o, obox, dc, dp, cfg, lemma4 = true) }
-        else if (expired) { v.pins -= 1; if (v.pins == 0) v.own = null }
-        v.place()
-        i += 1
+      place(c)
+      if (c.own != null) {
+        var i = 1
+        while (i < k) {
+          val v = c.own(i)
+          if (v != null) {
+            if (i < l) { v.update(o, obox, dc, dp, cfg, lemma4 = true); place(v) }
+            else if (expired) { v.pins -= 1; if (v.pins == 0) { c.own(i) = null; heap.remove(v) } }
+          }
+          i += 1
+        }
       }
       if (c.rects.size == 0) cells.subtractOne(key)
     }
@@ -110,7 +119,8 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     var i = 1
     while (i <= k) {
       val old = points(i - 1)
-      val p   = SearchRegion.best(heaps(i - 1))
+      walk.layer = i - 1
+      val p   = walk.best()
       points(i - 1) = p
       if (i < k) {
         // Layer i-1 holds every rect of level ≥ i, so the level-i rects are
@@ -149,8 +159,9 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   }
 
   /** Moves live rect `o` to level `to`: it leaves (or rejoins) the layers
-    * between its old and new level, whose views pin (or unpin) it. The first
-    * pin copies the store's cell; the last unpin drops the copy.
+    * between its old and new level, which pin (or unpin) it in each cell it
+    * touches. The first pin copies the store's cell; the last unpin drops
+    * the copy.
     */
   private def setLevel(o: SpatialObj, to: Int): Unit = {
     val s    = lvl(o.id)
@@ -161,13 +172,19 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     val obox = cfg.rectBox(o)
     grid.foreachCell(obox) { key =>
       val c = cells(key)
+      if (c.own == null) c.own = new Array[Cell](k)
       var j = math.min(from, to)
       while (j < math.max(from, to)) {
-        val v = c.views(j)
-        if (to < from) { if (v.pins == 0) v.own = c.copy(); v.pins += 1 }
-        else { v.pins -= 1; if (v.pins == 0) v.own = null }
-        if (v.own != null) v.own.update(o, obox, if (past) 0.0 else d, if (past) d else 0.0, cfg, lemma4 = true)
-        v.place()
+        var v = c.own(j)
+        if (to < from) {
+          if (v == null) { v = c.copy(j); c.own(j) = v }
+          v.pins += 1
+        } else v.pins -= 1
+        if (v.pins == 0) { c.own(j) = null; heap.remove(v) }
+        else {
+          v.update(o, obox, if (past) 0.0 else d, if (past) d else 0.0, cfg, lemma4 = true)
+          place(v)
+        }
         j += 1
       }
     }
@@ -177,7 +194,7 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     * whether it reads a private copy; and a live rect's level.
     */
   private[repro] def layerCells: Iterator[(Long, Int, Set[Long], Boolean)] =
-    for (c <- cells.valuesIterator; v <- c.views.iterator)
-      yield (c.key, v.layer, v.cell.rects.live.map(_.id).toSet, v.own != null)
+    for (c <- cells.valuesIterator; i <- Iterator.range(0, k))
+      yield (c.key, i, c.in(i).rects.live.map(_.id).toSet, c.in(i) ne c)
   private[repro] def level(id: Long): Int = lvl(id) >> 1
 }

@@ -91,6 +91,27 @@ class MaxHeapSpec extends AnyFunSuite {
     }
   }
 
+  // kCCS's copies share their store cell's key, so entries may tie on both
+  // priority and key; every slot must still come at or after its parent.
+  for (seed <- 0 until 5)
+    test(s"duplicate keys keep the heap order slot by slot, seed $seed") {
+      val rng = new Random(seed)
+      val h   = new MaxHeap[E]
+      val es  = (0 until 60).map(i => new E(i % 7))
+      (1 to 3000).foreach { _ =>
+        val e = es(rng.nextInt(es.size))
+        if (rng.nextInt(4) == 0) h.remove(e) else h.update(e, rng.nextInt(6).toDouble)
+        (0 until h.size).foreach { i =>
+          assert(h(i).slot == i)
+          if (i > 0) {
+            val (p, c) = (h((i - 1) / 2), h(i))
+            assert(p.prio > c.prio || p.prio == c.prio && p.key <= c.key, s"slot $i above its parent")
+          }
+        }
+      }
+      assert(h.size == es.count(_.slot >= 0))
+    }
+
   for (seed <- 0 until 20)
     test(s"randomized equivalence with a reference map, seed $seed") {
       val rng = new Random(seed)

@@ -13,9 +13,12 @@ import repro.stream.EventStream
 /** Top-k validation: kCCS (Algorithm 4) must produce the greedy score
   * vector of Definition 9 after every event; the approximate extensions
   * must be well-formed and respect their structural guarantees.
-  * Test streams use continuous weights, so burst-score ties between
-  * different cover sets have probability ~0 and the greedy score vector is
-  * well-defined regardless of which tied point an implementation picks.
+  * Test streams use continuous weights, which make most burst-score ties
+  * between different cover sets unlikely, but not all: two points with the
+  * same current rects and different past rects both score `(1−α)·f_c`
+  * whenever `f_c ≤ f_p` at both. Which of them is picked can then change
+  * what later levels see, so the brute-force comparisons below hold on
+  * these streams, not for every stream with continuous weights.
   */
 class TopKSpec extends AnyFunSuite with TimeLimits {
 
@@ -51,10 +54,10 @@ class TopKSpec extends AnyFunSuite with TimeLimits {
       }
     }
 
-  // The layers share one cell store: after every event each layer-i view
-  // holds the store's rects minus the live rects of level ≤ i, the layer
-  // reads a private copy exactly where those differ, and a layer left with
-  // no rects answers None.
+  // The layers share one cell store: after every event layer i sees, in each
+  // store cell, the store's rects minus the live rects of level ≤ i, it reads
+  // a private copy exactly where those differ, and a layer left with no rects
+  // answers None.
   for (seed <- 0 until 5)
     test(s"kCCS layers are the shared store minus their pinned rects, k=5, seed $seed") {
       val k    = 5
@@ -63,15 +66,15 @@ class TopKSpec extends AnyFunSuite with TimeLimits {
       var copies, emptyLayers = 0
       EventStream.fromObjects(TestGen.clusteredStream(seed, 35), cfg.windowMillis).foreach { e =>
         val got   = algo.onEvent(e)
-        val views = algo.layerCells.toSeq
-        val store = views.collect { case (key, 0, ids, _) => key -> ids }.toMap
-        views.foreach { case (key, i, ids, own) =>
+        val layers = algo.layerCells.toSeq
+        val store  = layers.collect { case (key, 0, ids, _) => key -> ids }.toMap
+        layers.foreach { case (key, i, ids, own) =>
           val want = store(key).filter(algo.level(_) > i)
           assert(ids == want, s"at ${e.kind}@${e.at}: layer $i cell $key holds $ids, want $want")
           assert(own == (want != store(key)), s"at ${e.kind}@${e.at}: layer $i cell $key private copy = $own")
           if (own) copies += 1
         }
-        for (i <- 0 until k if views.forall { case (_, j, ids, _) => j != i || ids.isEmpty }) {
+        for (i <- 0 until k if layers.forall { case (_, j, ids, _) => j != i || ids.isEmpty }) {
           assert(got(i).isEmpty, s"at ${e.kind}@${e.at}: empty layer $i answers ${got(i)}")
           emptyLayers += 1
         }
@@ -133,7 +136,8 @@ class TopKSpec extends AnyFunSuite with TimeLimits {
     }
 
   // As in CellCspotSpec: scores near 1e6, where no `w/|W|` is exact; a
-  // search that left its view invalid would never let the query return.
+  // search that left its cell (a layer's view of it) invalid would never
+  // let the query return.
   for (alpha <- Seq(0.0, 0.5, 0.9))
     test(s"kCCS: every search leaves its view valid at scores near 1e6, alpha=$alpha") {
       implicit val signaler: Signaler = ThreadSignaler
