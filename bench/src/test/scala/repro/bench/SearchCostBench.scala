@@ -30,7 +30,8 @@ import repro.stream.EventStream
   * split is printed for kCCS(5) on six `kccs5-us` streams, where the timed
   * call is `onEvent`, so each search also carries its event's updates; the
   * mean `onEvent` time of events that did not search is printed beside it,
-  * with the heap updates per event.
+  * with the heap updates, private copies made and rect level changes per
+  * event.
   * The second test prints search counts and answer hashes for B-CCS and Base
   * (`Tables.streamFor(US, 8000, 1h)`, seeds 201 and 202) and kCCS(5); for
   * kCCS also rects per search and a fingerprint of the scores alone, which
@@ -45,7 +46,7 @@ import repro.stream.EventStream
   * every MGAPS answer's box corner, `fc`, `fp` and score.
   */
 class SearchCostBench extends AnyFunSuite {
-  import SearchCostBench.{Buckets, Pass}
+  import SearchCostBench.{Buckets, KPass, Pass}
 
   private val Seed    = 201L
   private val Streams = 12
@@ -121,12 +122,10 @@ class SearchCostBench extends AnyFunSuite {
     t
   }
 
-  /** One timed kCCS(5) pass: searches by size, the mean ns of an `onEvent`
-    * that did not search, and heap updates per event.
-    */
-  private def kccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): (Buckets, Double, Double) = {
+  /** One timed kCCS(5) pass. */
+  private def kccsPass(streams: Seq[(SurgeConfig, IndexedSeq[SpatialObj])]): KPass = {
     val bySize = new Buckets
-    var quietNs, quiet, events, updates = 0L
+    var quietNs, quiet, events, updates, copies, levels = 0L
     streams.foreach { case (cfg, objs) =>
       val det = new KCellCspot(cfg, 5)
       EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
@@ -140,8 +139,11 @@ class SearchCostBench extends AnyFunSuite {
         events += 1
       }
       updates += det.heapUpdates
+      copies += det.copiesMade
+      levels += det.levelChanges
     }
-    (bySize, quietNs.toDouble / quiet, updates.toDouble / events)
+    KPass(bySize, quietNs.toDouble / quiet, updates.toDouble / events, copies.toDouble / events,
+          levels.toDouble / events)
   }
 
   test("SL-CSPOT search cost inside CCS at ccs-us density") {
@@ -169,10 +171,13 @@ class SearchCostBench extends AnyFunSuite {
     kccsPass(streams.take(2)) // warm-up
     val passes = (1 to Passes).map(_ => kccsPass(streams))
     println(f"\n=== kCCS(5) on 6 US streams (seed $Seed, ${streams.head._2.size} objects each) ===")
-    println(f"onEvent without a search: ${passes.map(_._2).sorted.apply(Passes / 2) / 1e3}%.2f us (median)  " +
-            f"${passes.head._3}%.2f heap updates/event")
-    println(Buckets.report(passes.map(_._1)))
-    assert(passes.map(p => (p._1.searches.sum, p._3)).distinct.size == 1, "passes disagree")
+    val p0 = passes.head
+    println(f"onEvent without a search: ${passes.map(_.quietNs).sorted.apply(Passes / 2) / 1e3}%.2f us (median)  " +
+            f"${p0.heapUpdates}%.2f heap updates/event  ${p0.copies}%.3f copies/event  " +
+            f"${p0.levelChanges}%.3f level changes/event")
+    println(Buckets.report(passes.map(_.bySize)))
+    assert(passes.map(p => (p.bySize.searches.sum, p.heapUpdates, p.copies, p.levelChanges)).distinct.size == 1,
+           "passes disagree")
   }
 
   test("answer fingerprints of B-CCS, Base and kCCS(5)") {
@@ -283,6 +288,12 @@ object SearchCostBench {
   /** One CCS pass over the streams. */
   final case class Pass(searchUs: Double, processNs: Double, searches: Long, hash: Long, scores: Int,
                         bySize: Buckets, byStrips: Seq[Long], oneUs: Seq[Double], heapUpdates: Double)
+
+  /** One kCCS(5) pass over the streams: searches by size, the mean ns of an
+    * `onEvent` that did not search, and per event the heap updates, private
+    * copies made and `setLevel` calls.
+    */
+  final case class KPass(bySize: Buckets, quietNs: Double, heapUpdates: Double, copies: Double, levelChanges: Double)
 
   /** Timed searches by rects swept per search. */
   final class Buckets {

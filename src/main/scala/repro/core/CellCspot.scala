@@ -155,9 +155,12 @@ private[repro] object SearchRegion {
   * adds its weight to `W_p` until the one that takes it out. This keeps
   * searches consistent with the incrementally tracked bounds and candidates
   * when several events share one firing timestamp.
+  *
+  * A cell of top-k layer `layer > 0` reads the `rects` of layer 0's cell
+  * and keeps only its own bounds and candidate (see `KCellCspot`).
   */
-private[repro] abstract class CspotCell(key: Long, val rects: CellRects, val box: Box, strips: Int)
-    extends SearchRegion(key) {
+private[repro] abstract class CspotCell(key: Long, val rects: CellRects, val box: Box, strips: Int,
+                                        val layer: Int = 0) extends SearchRegion(key) {
   var us: Double = 0.0
   var ud: Double = Double.PositiveInfinity
   // `U_d` per strip, bottom to top; allocated at the first sweep.
@@ -170,8 +173,10 @@ private[repro] abstract class CspotCell(key: Long, val rects: CellRects, val box
 
   /** The Lemma 3/4 case analysis, once: the points `o` (box `obox`) covers
     * change by `dc` in `f_c` and `dp` in `f_p`.
-    *  - `o` joins the cell when `dc + dp > 0` and leaves when `< 0`;
-    *  - `o` is Past from `dp > 0` until `dp < 0`;
+    *  - `o` joins the cell when `dc + dp > 0` and leaves when `< 0`, and it
+    *    is Past from `dp > 0` until `dp < 0`. Only a layer-0 cell moves
+    *    `rects`: a top-k layer's cell reads its store cell's, so its updates
+    *    move only its bounds and candidate;
     *  - `U_s` (Eqn 2) moves by `dc`;
     *  - `U_d` (Eqn 3) of every strip `o` meets grows by the largest rise of
     *    `S = max(f_c − α·f_p, (1−α)·f_c)` any covered point can see;
@@ -184,10 +189,12 @@ private[repro] abstract class CspotCell(key: Long, val rects: CellRects, val box
     *    an update.
     */
   final def update(o: SpatialObj, obox: Box, dc: Double, dp: Double, cfg: SurgeConfig, lemma4: Boolean): Unit = {
-    val size = dc + dp
-    if (size > 0) rects.add(o, size, isPast = dp > 0)
-    else if (size < 0) rects.remove(o)
-    else if (dp > 0) rects.grow(o)
+    if (layer == 0) {
+      val size = dc + dp
+      if (size > 0) rects.add(o, size, isPast = dp > 0)
+      else if (size < 0) rects.remove(o)
+      else if (dp > 0) rects.grow(o)
+    }
     us += dc
     val rise = math.max(0.0, math.max(dc - cfg.alpha * dp, (1 - cfg.alpha) * dc))
     if (rise > 0 && uds != null) {
@@ -215,7 +222,7 @@ private[repro] abstract class CspotCell(key: Long, val rects: CellRects, val box
   final def sweep(cfg: SurgeConfig, ws: SweepLine.Workspace, stats: CspotStats): Unit = {
     if (uds == null) uds = new Array[Double](strips)
     val t   = if (cand == null || strips == 1) Double.NegativeInfinity else cand.score
-    val res = rects.sweep(box, cfg, ws, uds, t)
+    val res = rects.sweep(box, cfg, ws, uds, t, layer)
     stats.search(res)
     val p = res.point
     if (t == Double.NegativeInfinity) cand = p.getOrElse(BurstyPoint(box.x0, box.y0, 0.0, 0.0, 0.0))

@@ -3,14 +3,14 @@ package repro.core
 /** The rects of one grid cell as [[SweepLine.Columns]], in arrival order at
   * positions `head until end`; a removed rect leaves a `null` object.
   *
-  * A stream-fed cell is a FIFO like `EventStream`: New appends, Expired
-  * takes the head, and Grown marks the rect at cursor `grown` (the first
-  * rect that may still be current) as Past, so each is O(1). The top-k
-  * extension's private copies (see `KCellCspot`) also append synthetic
-  * inserts, and their out-of-order removals and Grown events find their
-  * rect by a scan. When `end` reaches the capacity, the live rects are
-  * packed to the front in order, and the columns double if they are more
-  * than 3/4 full.
+  * A cell is fed by the stream only, so it is a FIFO like `EventStream`:
+  * New appends, Expired takes the head, and Grown marks the rect at cursor
+  * `grown` (the first rect that may still be current) as Past, so each is
+  * O(1). Only [[setLevel]], the top-k extension's level change (see
+  * `KCellCspot`), finds its rect by a scan; its layers read one instance
+  * through the level column. When `end` reaches the capacity, the live
+  * rects are packed to the front in order, and the columns double if they
+  * are more than 3/4 full.
   *
   * The orders `byX` and `byY` are sorted at the cell's first sweep, so a
   * cell that is never searched never holds them. From then on an append
@@ -18,7 +18,7 @@ package repro.core
   * Removed positions stay in both orders until the next sweep or pack drops
   * them, so a removal never touches them.
   */
-private[core] final class CellRects extends SweepLine.Columns(1) with Cloneable {
+private[core] final class CellRects extends SweepLine.Columns(1) {
   private var head  = 0
   private var end   = 0
   private var grown = 0
@@ -54,16 +54,15 @@ private[core] final class CellRects extends SweepLine.Columns(1) with Cloneable 
     skipGrown()
   }
 
-  /** An independent copy of these rects, positions and orders included. */
-  def copy(): CellRects = {
-    val c = clone().asInstanceOf[CellRects]
-    c.objs = objs.clone(); c.xs = xs.clone(); c.ys = ys.clone(); c.ds = ds.clone(); c.past = past.clone()
-    if (byX != null) { c.byX = byX.clone(); c.byY = byY.clone() }
-    c
+  /** Sets the level of rect `o` to `l`; the first call allocates `lv`. */
+  def setLevel(o: SpatialObj, l: Int): Unit = {
+    if (lv == null) { lv = new Array[Int](capacity); java.util.Arrays.fill(lv, Int.MaxValue) }
+    lv(find(o, head)) = l
   }
 
-  /** The live rects, in arrival order. */
-  def live: Iterator[SpatialObj] = Iterator.range(head, end).map(objs(_)).filter(_ != null)
+  /** The live rects of layer `layer`, in arrival order. */
+  def live(layer: Int): Iterator[SpatialObj] =
+    Iterator.range(head, end).filter(p => objs(p) != null && (lv == null || lv(p) > layer)).map(objs(_))
 
   /** The live rects whose `w×h` box covers `(px, py)`, in arrival order. */
   def covering(px: Double, py: Double, w: Double, h: Double): Iterator[SpatialObj] = {
@@ -75,13 +74,14 @@ private[core] final class CellRects extends SweepLine.Columns(1) with Cloneable 
       .map(os(_))
   }
 
-  /** SL-CSPOT over this cell's rects within `box`, confined to the strips
-    * whose bound in `bounds` exceeds `t`.
+  /** SL-CSPOT over layer `layer`'s rects within `box`, confined to the
+    * strips whose bound in `bounds` exceeds `t`.
     */
-  def sweep(box: Box, cfg: SurgeConfig, ws: SweepLine.Workspace, bounds: Array[Double], t: Double): SweepLine.SweepResult = {
+  def sweep(box: Box, cfg: SurgeConfig, ws: SweepLine.Workspace, bounds: Array[Double], t: Double,
+            layer: Int): SweepLine.SweepResult = {
     if (byX == null) { pack(); sortOrders(size, ws) }
     else if (ordered > size) { dropRemoved(byX); ordered = dropRemoved(byY) }
-    SweepLine.sweep(this, box, cfg, ws, bounds, t)
+    SweepLine.sweep(this, box, cfg, ws, bounds, t, layer)
   }
 
   /** Position of rect `o`. Slots are compared by reference, which reads no
@@ -153,6 +153,7 @@ private[core] final class CellRects extends SweepLine.Columns(1) with Cloneable 
       if (objs(p) != null) {
         to(p) = k
         objs(k) = objs(p); xs(k) = xs(p); ys(k) = ys(p); ds(k) = ds(p); past(k) = past(p)
+        if (lv != null) lv(k) = lv(p)
         if (p < grown) g += 1
         k += 1
       }

@@ -79,7 +79,10 @@ object SweepLine {
     * its weight `d = w/|W|` and whether it is in `W_p`. The first `ordered`
     * entries of `byX` and `byY` are positions sorted by corner x and by
     * corner y, ties in position order; both are `null` until [[sortOrders]]
-    * first runs.
+    * first runs. `lv` holds each rect's top-k level (see `KCellCspot`); it
+    * is `null` until a level is first written, and a rect [[set]] since then
+    * gets `Int.MaxValue`. A sweep at layer `i` reads only the rects whose
+    * level is above `i`, so without `lv` it reads every rect.
     */
   private[core] class Columns(cap: Int) {
     var objs: Array[SpatialObj] = new Array[SpatialObj](cap)
@@ -90,6 +93,7 @@ object SweepLine {
     var byX: Array[Int]         = null
     var byY: Array[Int]         = null
     var ordered: Int            = 0
+    var lv: Array[Int]          = null
 
     def capacity: Int = objs.length
 
@@ -102,6 +106,7 @@ object SweepLine {
       ys = java.util.Arrays.copyOf(ys, cap)
       ds = java.util.Arrays.copyOf(ds, cap)
       past = java.util.Arrays.copyOf(past, cap)
+      if (lv != null) lv = java.util.Arrays.copyOf(lv, cap)
       if (byX != null) {
         byX = java.util.Arrays.copyOf(byX, cap)
         byY = java.util.Arrays.copyOf(byY, cap)
@@ -120,6 +125,7 @@ object SweepLine {
 
     def set(p: Int, o: SpatialObj, d: Double, isPast: Boolean): Unit = {
       objs(p) = o; xs(p) = o.x; ys(p) = o.y; ds(p) = d; past(p) = isPast
+      if (lv != null) lv(p) = Int.MaxValue
     }
   }
 
@@ -180,18 +186,18 @@ object SweepLine {
     */
   private[core] def sweep(c: Columns, box: Box, cfg: SurgeConfig, ws: Workspace): SweepResult = {
     ws.whole(0) = Double.PositiveInfinity
-    sweep(c, box, cfg, ws, ws.whole, Double.NegativeInfinity)
+    sweep(c, box, cfg, ws, ws.whole, Double.NegativeInfinity, 0)
   }
 
-  /** The sweep confined to the strips of `box` that can beat a candidate
-    * scoring `t`. `bounds` holds an upper bound per equal horizontal strip
-    * (see [[stripLo]]); the rows swept are those of the strips from the
-    * first to the last whose bound exceeds `t`, and each of those strips'
-    * bounds becomes the largest score of its rows (0 if it has none). The
-    * other strips are left as they are.
+  /** The sweep of layer `layer`'s rects confined to the strips of `box`
+    * that can beat a candidate scoring `t`. `bounds` holds an upper bound per
+    * equal horizontal strip (see [[stripLo]]); the rows swept are those of
+    * the strips from the first to the last whose bound exceeds `t`, and each
+    * of those strips' bounds becomes the largest score of its rows (0 if it
+    * has none). The other strips are left as they are.
     */
   private[core] def sweep(c: Columns, box: Box, cfg: SurgeConfig, ws: Workspace,
-                          bounds: Array[Double], t: Double): SweepResult = {
+                          bounds: Array[Double], t: Double, layer: Int): SweepResult = {
     val n  = bounds.length
     var sa = 0
     while (sa < n && !(bounds(sa) > t)) sa += 1
@@ -202,9 +208,9 @@ object SweepLine {
 
     ws.fit(c.capacity, c.ordered)
     val fy = ws.fy
-    val m  = meeting(c, c.byX, box, cfg, ws.fx)
+    val m  = meeting(c, c.byX, box, cfg, layer, ws.fx)
     if (m == 0) return SweepResult(None, 0, sb - sa + 1)
-    meeting(c, c.byY, box, cfg, fy)
+    meeting(c, c.byY, box, cfg, layer, fy)
 
     // Candidate coordinates per axis: the distinct clipped edges, with
     // position 2e standing for edge e and 2e+1 for the midpoint of e, e+1.
@@ -261,14 +267,17 @@ object SweepLine {
   }
 
   /** Copies the positions among the first `c.ordered` of `ord` whose rect
-    * meets `box` to `out`, in order; returns their number.
+    * is in layer `layer` and meets `box` to `out`, in order; returns their
+    * number.
     */
-  private def meeting(c: Columns, ord: Array[Int], box: Box, cfg: SurgeConfig, out: Array[Int]): Int = {
-    var m = 0
-    var i = 0
+  private def meeting(c: Columns, ord: Array[Int], box: Box, cfg: SurgeConfig, layer: Int, out: Array[Int]): Int = {
+    val lv = c.lv
+    var m  = 0
+    var i  = 0
     while (i < c.ordered) {
       val p = ord(i)
-      if (c.xs(p) <= box.x1 && box.x0 <= c.xs(p) + cfg.rectW && c.ys(p) <= box.y1 && box.y0 <= c.ys(p) + cfg.rectH) {
+      if ((lv == null || lv(p) > layer) &&
+          c.xs(p) <= box.x1 && box.x0 <= c.xs(p) + cfg.rectW && c.ys(p) <= box.y1 && box.y0 <= c.ys(p) + cfg.rectH) {
         out(m) = p; m += 1
       }
       i += 1

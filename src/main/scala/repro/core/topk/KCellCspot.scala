@@ -10,16 +10,22 @@ import repro.core._
   * order of the first selected point it covers (k if it covers none). All
   * layers share one store of [[CspotCell]]s, layer 0's cells, so a cell the
   * layers agree on is updated and searched once (Section VI-B's sharing).
-  * Layer i holds a private copy of a store cell while `pins` > 0 live rects
-  * of level ≤ i touch it; each of those covers one of `p[1..i]`, so copies
-  * exist only around selected points. One [[MaxHeap]] holds the store's
-  * cells and every layer's copies:
+  * A store cell's rects are the only record of which rects touch it, and
+  * they carry each rect's level. Layer i holds a private copy of a store
+  * cell while `pins` > 0 live rects of level ≤ i touch it; each of those
+  * covers one of `p[1..i]`, so copies exist only around selected points. A
+  * copy keeps its own bounds and candidate but reads the store cell's
+  * rects, and its sweeps leave out those of level ≤ i, so it holds the
+  * store's rects minus the pinned ones by construction. One [[MaxHeap]]
+  * holds the store's cells and every layer's copies:
   *  - layer i is answered by the lazy search over that heap, which leaves
   *    out the copies of other layers and the store cells layer i copies;
-  *  - a stream event updates the store's cell, and the copies of the layers
-  *    its rect is in; a level change touches only copies: a rect that starts
-  *    covering `p[i]` is pinned to level i, and when `p[i]` moves, a level-i
-  *    rect that misses the new `p[i]` is released to level k.
+  *  - a stream event moves its rect in the store's cells, and updates their
+  *    bounds and those of the copies of the layers the rect is in;
+  *  - a level change writes the rect's new level into the store's cells and
+  *    updates only the copies' bounds: a rect that starts covering `p[i]` is
+  *    pinned to level i, and when `p[i]` moves, a level-i rect that misses
+  *    the new `p[i]` is released to level k.
   */
 final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   require(k >= 1)
@@ -47,15 +53,24 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   /** Heap updates so far (cost accounting). */
   private[repro] def heapUpdates: Long = heap.updates
 
+  private var made, moved = 0L
+
+  /** Private copies made so far (cost accounting). */
+  private[repro] def copiesMade: Long = made
+
+  /** Rect level changes so far, i.e. `setLevel` calls (cost accounting). */
+  private[repro] def levelChanges: Long = moved
+
   /** A store cell (`layer` 0), or layer `layer`'s private copy of one,
-    * which shares its key.
+    * which shares its key and its rects.
     */
-  private final class Cell(key: Long, box: Box, rects: CellRects = new CellRects, val layer: Int = 0)
-      extends CspotCell(key, rects, box, CspotCell.Strips) {
+  private final class Cell(key: Long, box: Box, rects: CellRects = new CellRects, layer: Int = 0)
+      extends CspotCell(key, rects, box, CspotCell.Strips, layer) {
     // A store cell's copies by layer, `null` where the layer reads this
     // cell; allocated with the first copy.
     var own: Array[Cell] = _
-    // A copy's live rects of level ≤ `layer` that touch the cell.
+    // A copy's live rects of level ≤ `layer` that touch the cell, i.e. the
+    // rects of `rects` its sweeps leave out.
     var pins = 0
 
     def search(): Unit = sweep(cfg, ws, stats)
@@ -64,7 +79,8 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     def in(i: Int): Cell = if (own == null || own(i) == null) this else own(i)
 
     def copy(layer: Int): Cell = {
-      val c = new Cell(key, box, rects.copy(), layer)
+      made += 1
+      val c = new Cell(key, box, rects, layer)
       c.us = us; c.ud = ud; c.cand = cand; c.candValid = candValid
       if (uds != null) c.uds = uds.clone()
       c
@@ -78,9 +94,9 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
       if (c.layer == 0) c.in(layer) ne c else c.layer != layer
   }
 
-  /** Re-keys `c` in the heap; an empty copy leaves it. */
+  /** Re-keys `c` in the heap; a copy with no rects in its layer leaves it. */
   private def place(c: Cell): Unit =
-    if (c.rects.size == 0) heap.remove(c) else heap.update(c, c.bound)
+    if (c.rects.size == c.pins) heap.remove(c) else heap.update(c, c.bound)
 
   /** Process one event and return the current top-k bursty points
     * (`None` entries when fewer than i covered points exist).
@@ -164,6 +180,7 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     * the copy.
     */
   private def setLevel(o: SpatialObj, to: Int): Unit = {
+    moved += 1
     val s    = lvl(o.id)
     val from = s >> 1
     lvl(o.id) = 2 * to + (s & 1)
@@ -172,6 +189,7 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     val obox = cfg.rectBox(o)
     grid.foreachCell(obox) { key =>
       val c = cells(key)
+      c.rects.setLevel(o, to)
       if (c.own == null) c.own = new Array[Cell](k)
       var j = math.min(from, to)
       while (j < math.max(from, to)) {
@@ -190,11 +208,12 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     }
   }
 
-  /** For tests: each (store cell, layer) with the layer's rect ids and
-    * whether it reads a private copy; and a live rect's level.
+  /** For tests: each (store cell, layer) with the layer's rect ids, whether
+    * it reads a private copy, and whether that reads the store cell's rects;
+    * and a live rect's level.
     */
-  private[repro] def layerCells: Iterator[(Long, Int, Set[Long], Boolean)] =
-    for (c <- cells.valuesIterator; i <- Iterator.range(0, k))
-      yield (c.key, i, c.in(i).rects.live.map(_.id).toSet, c.in(i) ne c)
+  private[repro] def layerCells: Iterator[(Long, Int, Set[Long], Boolean, Boolean)] =
+    for (c <- cells.valuesIterator; i <- Iterator.range(0, k); v = c.in(i))
+      yield (c.key, i, v.rects.live(i).map(_.id).toSet, v ne c, v.rects eq c.rects)
   private[repro] def level(id: Long): Int = lvl(id) >> 1
 }

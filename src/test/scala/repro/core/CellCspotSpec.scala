@@ -277,7 +277,7 @@ class CellCspotSpec extends AnyFunSuite with TimeLimits {
         if (holes && i % 3 == 2) cell.remove(live.remove(0))
         if (cell.capacity > cap) {
           grows += 1
-          val got  = cell.sweep(box, cfg, ws, Array(Double.PositiveInfinity), Double.NegativeInfinity)
+          val got  = cell.sweep(box, cfg, ws, Array(Double.PositiveInfinity), Double.NegativeInfinity, 0)
           val want = BruteForce.burstyPoint(live, now, cfg, Some(box)).get
           assert(got.rectCount == live.size && cell.size == live.size)
           assert(math.abs(got.point.get.score - want.score) < 1e-9, s"after rect $i: $got vs $want")
@@ -285,7 +285,59 @@ class CellCspotSpec extends AnyFunSuite with TimeLimits {
           assert(math.abs(chk.score - want.score) < 1e-9, s"after rect $i: stale point ${got.point}")
         }
       }
-      assert(grows >= 6 && cell.live.toSeq == live.toSeq)
+      assert(grows >= 6 && cell.live(0).toSeq == live.toSeq)
+    }
+
+  // kCCS's layers read one store through its level column: a sweep at layer
+  // i reads exactly the live rects of level > i, across packs and doublings
+  // between level writes, and a store that never gets a level reads every
+  // rect at every layer.
+  for (holes <- Seq(false, true))
+    test(s"cell store: a sweep at layer i reads only the rects of level > i, holes = $holes") {
+      val k     = 4
+      val cfg   = TestGen.cfg(windowMillis = 1000L, alpha = 0.5)
+      val now   = 10000L
+      val box   = Box(1.0, 1.0, 2.0, 2.0)
+      val rng   = new Random(if (holes) 4 else 3)
+      val cell  = new CellRects
+      val plain = new CellRects
+      val ws    = new SweepLine.Workspace
+      val live  = mutable.ArrayBuffer.empty[SpatialObj]
+      val level = mutable.LongMap.empty[Int]
+      var grows, writes = 0
+      def check(rects: CellRects, in: collection.Seq[SpatialObj], layer: Int, at: String): Unit = {
+        val got  = rects.sweep(box, cfg, ws, Array(Double.PositiveInfinity), Double.NegativeInfinity, layer)
+        val want = BruteForce.burstyPoint(in, now, cfg, Some(box)).fold(0.0)(_.score)
+        assert(got.rectCount == in.size && rects.live(layer).toSeq == in.toSeq, s"$at: ${got.rectCount} rects")
+        assert(math.abs(got.point.fold(0.0)(_.score) - want) < 1e-9, s"$at: $got vs $want")
+      }
+      for (i <- 0 until 400) {
+        val isPast = rng.nextInt(3) == 0
+        val o = SpatialObj(i.toLong, 1.0 + rng.nextInt(3), 2 * rng.nextDouble(), 2 * rng.nextDouble(),
+                           if (isPast) now - cfg.windowMillis else now)
+        val cap = cell.capacity
+        cell.add(o, cfg.delta(o.w), isPast)
+        plain.add(o, cfg.delta(o.w), isPast)
+        live += o
+        if (holes && i % 3 == 2) {
+          val r = live.remove(0)
+          cell.remove(r); plain.remove(r); level -= r.id
+        }
+        if (rng.nextInt(3) == 0) {
+          val r = live(rng.nextInt(live.size))
+          level(r.id) = 1 + rng.nextInt(k)
+          cell.setLevel(r, level(r.id))
+          writes += 1
+        }
+        if (cell.capacity > cap || i % 37 == 0) {
+          if (cell.capacity > cap) grows += 1
+          for (layer <- 0 until k) {
+            check(cell, live.filter(r => level.getOrElse(r.id, k) > layer), layer, s"after rect $i, layer $layer")
+            check(plain, live, layer, s"after rect $i, layer $layer, no levels")
+          }
+        }
+      }
+      assert(grows >= 6 && writes > 100 && cell.lv != null && plain.lv == null)
     }
 
   test("rectsCovering finds exactly the covering live rects") {

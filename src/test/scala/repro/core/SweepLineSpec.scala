@@ -189,7 +189,7 @@ class SweepLineSpec extends AnyFunSuite {
       def brute(b: Box) = BruteForce.burstyPoint(objs, now, cfg, Some(b)).fold(0.0)(_.score)
 
       val bounds = Array.fill(8)(Double.PositiveInfinity)
-      val whole  = cell.sweep(box, cfg, ws, bounds, Double.NegativeInfinity)
+      val whole  = cell.sweep(box, cfg, ws, bounds, Double.NegativeInfinity, 0)
       assert(whole.strips == 8 && whole.rectCount == objs.size)
       assert(math.abs(whole.point.get.score - brute(box)) < 1e-9)
       for (s <- 0 until 8)
@@ -203,7 +203,7 @@ class SweepLineSpec extends AnyFunSuite {
       val t     = bounds.max
       val stale = bounds.clone()
       (sa to sb).foreach(stale(_) = t + 1)
-      val part = cell.sweep(box, cfg, ws, stale, t)
+      val part = cell.sweep(box, cfg, ws, stale, t, 0)
       assert(part.strips == sb - sa + 1)
       for (s <- 0 until 8) {
         if (s < sa || s > sb) assert(stale(s) == bounds(s), s"strip $s was not swept")

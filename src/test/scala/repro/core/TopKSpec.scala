@@ -55,9 +55,10 @@ class TopKSpec extends AnyFunSuite with TimeLimits {
     }
 
   // The layers share one cell store: after every event layer i sees, in each
-  // store cell, the store's rects minus the live rects of level ≤ i, it reads
-  // a private copy exactly where those differ, and a layer left with no rects
-  // answers None.
+  // store cell, the store's rects minus the live rects of level ≤ i (read
+  // through the store's level column), it reads a private copy exactly where
+  // those differ, every copy reads its store cell's rects, and a layer left
+  // with no rects answers None.
   for (seed <- 0 until 5)
     test(s"kCCS layers are the shared store minus their pinned rects, k=5, seed $seed") {
       val k    = 5
@@ -67,14 +68,15 @@ class TopKSpec extends AnyFunSuite with TimeLimits {
       EventStream.fromObjects(TestGen.clusteredStream(seed, 35), cfg.windowMillis).foreach { e =>
         val got   = algo.onEvent(e)
         val layers = algo.layerCells.toSeq
-        val store  = layers.collect { case (key, 0, ids, _) => key -> ids }.toMap
-        layers.foreach { case (key, i, ids, own) =>
+        val store  = layers.collect { case (key, 0, ids, _, _) => key -> ids }.toMap
+        layers.foreach { case (key, i, ids, own, shared) =>
           val want = store(key).filter(algo.level(_) > i)
           assert(ids == want, s"at ${e.kind}@${e.at}: layer $i cell $key holds $ids, want $want")
           assert(own == (want != store(key)), s"at ${e.kind}@${e.at}: layer $i cell $key private copy = $own")
+          assert(shared, s"at ${e.kind}@${e.at}: layer $i cell $key reads rects of its own")
           if (own) copies += 1
         }
-        for (i <- 0 until k if layers.forall { case (_, j, ids, _) => j != i || ids.isEmpty }) {
+        for (i <- 0 until k if layers.forall { case (_, j, ids, _, _) => j != i || ids.isEmpty }) {
           assert(got(i).isEmpty, s"at ${e.kind}@${e.at}: empty layer $i answers ${got(i)}")
           emptyLayers += 1
         }
